@@ -93,8 +93,6 @@ SCHEMA = {
         "epsilon": (0.4, float),
         "grid_kind": ("square", str),
         "nx": (48, int),
-        "tol_linear": (1e-10, float),
-        "tol_fixed_point": (1e-10, float),
     },
     "boundary": {
         "profile": (None, str),
@@ -214,12 +212,8 @@ def parse_config(path, out_override=None, seed_override=None):
             f"experiment: must be one of {', '.join(EXPERIMENTS)}, "
             f"got {out['experiment']!r}")
 
-    s = out["solver"]
     try:
-        solver = validate_config(SolverConfig(
-            nu=s["nu"], T=s["T"], dt=s["dt"], m=s["m"], epsilon=s["epsilon"],
-            grid_kind=s["grid_kind"], nx=s["nx"], tol_linear=s["tol_linear"],
-            tol_fixed_point=s["tol_fixed_point"]))
+        solver = validate_config(SolverConfig(**out["solver"]))
     except ConfigError as exc:
         raise ConfigFileError(f"solver: {exc}")
 
@@ -391,8 +385,8 @@ def _run_solve(ctx):
     cfg = ctx.config.solver
     basis, lift, tensors, u0, traj, _ = _solve_common(ctx)
     _write_trajectory(ctx, traj)
-    recon = reconstruct(traj, basis, lift)
-    save_vector(ctx.path("v_final.npz"), recon[-1], t=traj.times[-1])
+    save_vector(ctx.path("v_final.npz"), reconstruct(traj, basis, lift),
+                t=traj.times[-1])
     summary = {"steps": traj.n_steps, "l2sq_final": float(traj.l2sq[-1]),
                "h1sq_final": float(traj.h1sq[-1])}
     if lift is None:

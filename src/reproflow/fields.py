@@ -91,20 +91,12 @@ class Grid:
 
     # -- wall distance ----------------------------------------------------
 
-    def _rho(self, x, y):
-        if self.kind != SQUARE:
-            raise NoBoundaryError("the torus has no boundary, rho is undefined")
-        return np.minimum(np.minimum(x, 1.0 - x), np.minimum(y, 1.0 - y))
-
     def rho_nodes(self):
         """Distance to the nearest wall at every node (square only)."""
+        if self.kind != SQUARE:
+            raise NoBoundaryError("the torus has no boundary, rho is undefined")
         x, y = self.node_coords()
-        return self._rho(x, y)
-
-    def rho_centers(self):
-        """Distance to the nearest wall at every cell center (square only)."""
-        x, y = self.center_coords()
-        return self._rho(x, y)
+        return np.minimum(np.minimum(x, 1.0 - x), np.minimum(y, 1.0 - y))
 
     # -- shapes -----------------------------------------------------------
 
@@ -138,21 +130,6 @@ class Grid:
 
     def __repr__(self):
         return f"Grid({self.kind!r}, nx={self.nx}, h={self.h:.6g})"
-
-
-def boundary_distance(grid, node):
-    """Distance from node (i, j) to the nearest wall.
-
-    ``node`` indexes the nodal lattice, i, j in 0..nx.  Torus grids raise
-    NoBoundaryError.
-    """
-    if grid.kind != SQUARE:
-        raise NoBoundaryError("the torus has no boundary")
-    i, j = node
-    if not (0 <= i <= grid.nx and 0 <= j <= grid.ny):
-        raise IndexError(f"node {node} outside the nodal lattice")
-    x, y = i * grid.h, j * grid.h
-    return float(min(x, 1.0 - x, y, 1.0 - y))
 
 
 class ScalarField:
@@ -235,19 +212,6 @@ class VectorField:
 
     def __repr__(self):
         return f"VectorField({self.grid!r})"
-
-
-class NormReport:
-    """l2 = |.|, h1 = ||.|| (the gradient norm), h2proxy = |A .| if available."""
-
-    def __init__(self, l2, h1, h2proxy=None):
-        self.l2 = float(l2)
-        self.h1 = float(h1)
-        self.h2proxy = None if h2proxy is None else float(h2proxy)
-
-    def __repr__(self):
-        extra = "" if self.h2proxy is None else f", h2proxy={self.h2proxy:.6g}"
-        return f"NormReport(l2={self.l2:.6g}, h1={self.h1:.6g}{extra})"
 
 
 def _same_grid(*fields):
@@ -588,10 +552,6 @@ def inner_h1(a, b):
     return s
 
 
-def norm_h1(a):
-    return float(np.sqrt(max(inner_h1(a, a), 0.0)))
-
-
 def trilinear(u, v, w):
     """Skew-symmetrized advection form bt(u, v, w).
 
@@ -605,15 +565,6 @@ def trilinear(u, v, w):
     t1 = inner_l2(advect(u, v), w)
     t2 = inner_l2(advect(u, w), v)
     return 0.5 * (t1 - t2)
-
-
-def norms(a, basis=None):
-    """NormReport of a vector field; |A a| via eigenbasis projection if given."""
-    h2 = None
-    if basis is not None:
-        c = basis.project(a)
-        h2 = float(np.sqrt(np.sum((basis.eigenvalues * c) ** 2)))
-    return NormReport(norm_l2(a), norm_h1(a), h2)
 
 
 def tangential_trace(w):

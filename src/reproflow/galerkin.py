@@ -8,7 +8,6 @@ All norms the monitors need are exact sums in coefficient space.
 """
 
 import dataclasses
-import os
 
 import numpy as np
 
@@ -28,8 +27,6 @@ from .fields import (
 )
 from .lift import compute_forcing
 from .stokes import LerayProjector, _torus_wavenumbers
-
-TENSOR_CACHE_VERSION = 1
 
 
 class ConfigError(ValueError):
@@ -60,8 +57,6 @@ class SolverConfig:
     epsilon: float = 0.4
     grid_kind: str = SQUARE
     nx: int = 48
-    tol_linear: float = 1e-10
-    tol_fixed_point: float = 1e-10
 
     def n_steps(self):
         return int(round(self.T / self.dt))
@@ -148,116 +143,63 @@ class Tensors:
         return self.D[k] + self.E[k], self.F[k]
 
 
-def _mode_stacks(basis):
-    m = len(basis.eigenvalues)
-    flat = np.stack([np.concatenate([basis.mode(j).u.ravel(),
-                                     basis.mode(j).v.ravel()]) for j in range(m)])
-    return flat
+def _flat(w):
+    return np.concatenate([w.u.ravel(), w.v.ravel()])
 
 
-def _assemble_quadratic(basis, lift_fields, want_t1=True):
-    """One sweep over mode pairs: advection couplings and lift dots.
-
-    Returns T1[i, l, j] = (advect(w_i, w_l), w_j) (None when not asked
-    for) and, when lift fields are given, R[k, i, l] = (advect(w_i,
-    w_l), G_k).
-    """
-    grid = basis.grid
-    m = len(basis.eigenvalues)
-    w2 = grid.h**2
-    flat = _mode_stacks(basis)
-    gmat = None
-    if lift_fields:
-        gmat = np.stack([np.concatenate([gk.u.ravel(), gk.v.ravel()])
-                         for gk in lift_fields])
-
-    t1 = np.empty((m, m, m)) if want_t1 else None
-    r = np.empty((len(lift_fields), m, m)) if lift_fields else None
-    buf = np.empty((m, flat.shape[1]))
-    for i in range(m):
-        wi = basis.mode(i)
-        for l in range(m):
-            adv = advect(wi, basis.mode(l))
-            buf[l, :] = np.concatenate([adv.u.ravel(), adv.v.ravel()])
-        if want_t1:
-            t1[i] = w2 * (buf @ flat.T)
-        if gmat is not None:
-            r[:, i, :] = w2 * (gmat @ buf.T)
-    return t1, r
-
-
-def _tensor_cache_path(cache_dir, grid, m):
-    name = f"tensors_B_{grid.kind}_nx{grid.nx}_m{m}_v{TENSOR_CACHE_VERSION}.npz"
-    return os.path.join(cache_dir, name)
-
-
-def assemble_tensors(basis, lift, nu=None, cache_dir=None, force_rebuild=False):
+def assemble_tensors(basis, lift, nu=None):
     """All coefficient-system tensors for a basis and (optional) lift.
 
-    The pure mode-coupling tensor B depends only on (grid, m) and is
-    cached on disk when a cache directory is given.  Lift couplings are
-    recomputed per lift.  `nu` is needed exactly when the lift's
-    forcing has not been attached yet.
+    One sweep over mode pairs gives B and, for every lift sample G_k,
+    R[k, i, j] = (advect(w_i, w_j), G_k); one sweep per sample then
+    gives D, E and F.  Both sweeps share one (m, N) buffer of flattened
+    advections, so memory does not grow with the number of samples.
+    `nu` is needed exactly when the lift's forcing has not been
+    attached yet.
     """
     m = len(basis.eigenvalues)
     lam = basis.eigenvalues.copy()
-    grid = basis.grid
+    w2 = basis.grid.h**2
 
-    fields = []
+    fields, forcings = [], []
     if lift is not None:
+        if lift.f_eps is None:
+            if nu is None:
+                raise ValueError("lift has no forcing attached; pass nu")
+            compute_forcing(lift, nu)
         fields = [lift.G_eps] if lift.steady else list(lift.G_eps)
+        forcings = [lift.f_eps] if lift.steady else list(lift.f_eps)
 
-    cache_path = None
-    b = None
-    if cache_dir is not None:
-        os.makedirs(cache_dir, exist_ok=True)
-        cache_path = _tensor_cache_path(cache_dir, grid, m)
-    if cache_path and not force_rebuild and os.path.exists(cache_path):
-        with np.load(cache_path) as blob:
-            if np.array_equal(blob["eigenvalues"], lam):
-                b = blob["B"]
-
-    t1 = r = None
-    if b is None or fields:
-        t1, r = _assemble_quadratic(basis, fields, want_t1=b is None)
-    if b is None:
-        b = 0.5 * (t1 - t1.transpose(0, 2, 1))
-        if cache_path:
-            tmp = cache_path + ".tmp.npz"
-            np.savez(tmp, B=b, eigenvalues=lam)
-            os.replace(tmp, cache_path)
+    flat = np.concatenate([basis.ustack.reshape(m, -1),
+                           basis.vstack.reshape(m, -1)], axis=1)
+    buf = np.empty_like(flat)
+    t1 = np.empty((m, m, m))
+    r = np.empty((len(fields), m, m))
+    gmat = np.stack([_flat(gk) for gk in fields]) if fields else None
+    for i in range(m):
+        wi = basis.mode(i)
+        for l in range(m):
+            buf[l] = _flat(advect(wi, basis.mode(l)))
+        t1[i] = w2 * (buf @ flat.T)
+        if fields:
+            r[:, i, :] = w2 * (gmat @ buf.T)
+    b = 0.5 * (t1 - t1.transpose(0, 2, 1))
 
     if not fields:
-        d = np.zeros((m, m))
-        e = np.zeros((m, m))
-        f = np.zeros(m)
-        return Tensors(B=b, D=d, E=e, F=f, lam=lam)
+        return Tensors(B=b, D=np.zeros((m, m)), E=np.zeros((m, m)),
+                       F=np.zeros(m), lam=lam)
 
-    if lift.f_eps is None:
-        if nu is None:
-            raise ValueError("lift has no forcing attached; pass nu")
-        compute_forcing(lift, nu)
-    forcings = [lift.f_eps] if lift.steady else list(lift.f_eps)
-
-    w2 = grid.h**2
-    flat = _mode_stacks(basis)
     d_list, e_list, f_list = [], [], []
-    for k, gk in enumerate(fields):
-        # (advect(w_i, G), w_j) for all i via one stack of advections
-        sg = np.empty((m, flat.shape[1]))
-        ag = np.empty((m, flat.shape[1]))
+    for k, (gk, fk) in enumerate(zip(fields, forcings)):
         for i in range(m):
-            advig = advect(basis.mode(i), gk)
-            sg[i, :] = np.concatenate([advig.u.ravel(), advig.v.ravel()])
-            advgi = advect(gk, basis.mode(i))
-            ag[i, :] = np.concatenate([advgi.u.ravel(), advgi.v.ravel()])
-        s = w2 * (sg @ flat.T)          # (advect(w_i, G), w_j)
+            buf[i] = _flat(advect(basis.mode(i), gk))
+        s = w2 * (buf @ flat.T)         # (advect(w_i, G), w_j)
         d_list.append(0.5 * (s - r[k]))
-        half = w2 * (ag @ flat.T)       # (advect(G, w_i), w_j)
+        for i in range(m):
+            buf[i] = _flat(advect(gk, basis.mode(i)))
+        half = w2 * (buf @ flat.T)      # (advect(G, w_i), w_j)
         e_list.append(0.5 * (half - half.T))
-        fk = forcings[k]
-        fflat = np.concatenate([fk.u.ravel(), fk.v.ravel()])
-        f_list.append(w2 * (flat @ fflat))
+        f_list.append(w2 * (flat @ _flat(fk)))
 
     if lift.steady:
         return Tensors(B=b, D=d_list[0], E=e_list[0], F=f_list[0], lam=lam)
@@ -430,30 +372,14 @@ def solve(config, u0, lift, basis, tensors=None):
 # reconstruction and pressure
 
 
-class Reconstruction:
-    """Lazily reconstructed velocity fields v(t_n) = sum c_j w_j + G."""
-
-    def __init__(self, trajectory, basis, lift=None):
-        self.trajectory = trajectory
-        self.basis = basis
-        self.lift = lift
-
-    def __len__(self):
-        return len(self.trajectory.times)
-
-    def __getitem__(self, n):
-        if n < 0:
-            n += len(self)
-        u = self.basis.combine(self.trajectory.coeffs[n])
-        if self.lift is None:
-            return u
-        if self.lift.steady:
-            return u + self.lift.G_eps
-        return u + self.lift.G_eps[n]
-
-
-def reconstruct(trajectory, basis, lift=None):
-    return Reconstruction(trajectory, basis, lift)
+def reconstruct(trajectory, basis, lift=None, n=-1):
+    """The velocity field v(t_n) = sum_j c_j(t_n) w_j + G(t_n) at step n."""
+    if n < 0:
+        n += len(trajectory.times)
+    u = basis.combine(trajectory.coeffs[n])
+    if lift is None:
+        return u
+    return u + (lift.G_eps if lift.steady else lift.G_eps[n])
 
 
 def _pad_coeffs(ch, n):

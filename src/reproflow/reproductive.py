@@ -225,9 +225,11 @@ def find_reproductive(config, lift, basis, u0_init=None, tol=1e-10,
     violation raises NonConvergence with the residual history attached,
     which in-budget indicates a genuine regime problem.
 
-    On success the returned report carries the fixed point, the
-    re-verified residual of a fresh solve from it, and the L2 closure
-    ||v(T) - v(0)|| of the reconstructed flow.
+    On success the returned report carries the fixed point and
+    `l2_closure`, the Euclidean norm of the last Picard step's
+    coefficient difference L(u_k) - u_k.  The basis is L2-orthonormal,
+    so that equals ||v(T) - v(0)|| in L2 for the flow started at u_k;
+    no further solve is made.
     """
     if tensors is None:
         tensors = assemble_tensors(basis, lift, nu=config.nu)

@@ -35,8 +35,6 @@ import scipy.sparse.linalg as spla
 
 from .fields import (
     SQUARE,
-    TORUS,
-    Grid,
     ScalarField,
     VectorField,
     inner_l2,
@@ -118,12 +116,6 @@ class LerayProjector:
         return VectorField(g, u, v)
 
 
-def leray_project(w, projector=None):
-    if projector is None:
-        projector = LerayProjector(w.grid)
-    return projector.project(w)
-
-
 def _torus_wavenumbers(n):
     k = np.fft.fftfreq(n, d=1.0 / n)
     return np.meshgrid(k, k, indexing="ij")
@@ -168,10 +160,6 @@ class StokesBasis:
 
     def mode(self, j):
         return VectorField(self.grid, self.ustack[j], self.vstack[j])
-
-    @property
-    def modes(self):
-        return [self.mode(j) for j in range(self.m)]
 
     def project(self, w):
         """Coefficients c_j = (w, w_j) of the L2 projection onto the span."""

@@ -121,8 +121,9 @@ def calibrate_slack(config, u0, lift, basis, nu=None, refine=2):
     """Slack rate kappa for the energy monitor from a dt-refinement pair.
 
     Runs the configured solve at dt and dt/refine, takes the worst
-    signed energy violation of each, and attributes the difference to
-    the O(dt) discretization of the time derivative:
+    signed violation `check_energy_inequality` reports for each, and
+    attributes the difference to the O(dt) discretization of the time
+    derivative:
 
         kappa = max(0, (viol(dt) - viol(dt/r)) / (dt - dt/r)).
     """
@@ -133,10 +134,7 @@ def calibrate_slack(config, u0, lift, basis, nu=None, refine=2):
     def worst(cfg):
         traj = solve(cfg, GalerkinState(0.0, u0.c.copy()), lift, basis,
                      tensors=tensors)
-        dt = traj.dt
-        lhs = (traj.l2sq[1:] - traj.l2sq[:-1]) / dt + 0.5 * nu * traj.h1sq[1:]
-        rhs = traj.f_l2sq[1:] / (nu * c_omega**2)
-        return float((lhs - rhs).max())
+        return check_energy_inequality(traj, nu, c_omega).records[0].max_violation
 
     fine = dataclasses.replace(config, dt=config.dt / refine)
     v_coarse = worst(config)

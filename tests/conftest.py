@@ -2,7 +2,7 @@
 
 The expensive objects — eigenbases, quadrature tensors, the standard
 wall-bump configuration at full working resolution (nx = 48, m = 32) —
-are built once per session.  Basis/tensor caches go to a pytest temp
+are built once per session.  The basis cache goes to a pytest temp
 directory so test runs never touch the working tree.
 """
 

@@ -19,6 +19,7 @@ from reproflow.galerkin import (
     SolverConfig,
     Tensors,
     assemble_tensors,
+    momentum_residual_drop,
     project_initial,
     reconstruct,
     recover_pressure,
@@ -55,10 +56,10 @@ def test_criterion_1_taylor_green_oracle(torus64, cache_dir):
     state0, proj_err = project_initial(taylor_green(torus64), None, basis)
     tensors = assemble_tensors(basis, None, nu=config.nu)
     traj = solve(config, state0, None, basis, tensors=tensors)
-    recon = reconstruct(traj, basis)
 
     want = math.exp(-2.0 * config.nu * config.T)
-    decay_err = abs(norm_l2(recon[-1]) / norm_l2(recon[0]) - want) / want
+    decay_err = abs(norm_l2(reconstruct(traj, basis))
+                    / norm_l2(reconstruct(traj, basis, n=0)) - want) / want
 
     pair = (traj.state(traj.n_steps - 1), traj.state(traj.n_steps))
     p = recover_pressure(pair, basis, None, config.nu)
@@ -67,13 +68,16 @@ def test_criterion_1_taylor_green_oracle(torus64, cache_dir):
     p_exact = 0.25 * (np.cos(2 * xc) + np.cos(2 * yc)) \
         * math.exp(-4.0 * config.nu * t_mid)
     p_err = np.linalg.norm(p.values - p_exact) / np.linalg.norm(p_exact)
+    drop = momentum_residual_drop(pair, basis, None, config.nu)
 
     elapsed = time.monotonic() - t0
     print(f"criterion 1: projection V-err {proj_err:.3e}, "
           f"decay rel err {decay_err:.3e} (tol 1e-4), "
-          f"pressure rel err {p_err:.3e} (tol 1e-3), {elapsed:.1f}s")
+          f"pressure rel err {p_err:.3e} (tol 1e-3), "
+          f"momentum residual drop {drop:.1f}x (min 100), {elapsed:.1f}s")
     assert decay_err <= 1e-4
     assert p_err <= 1e-3
+    assert drop >= 100.0
     assert elapsed < 60.0
 
 
@@ -103,8 +107,8 @@ def test_criterion_3_reproductive_fixed_point(config48, lift48, basis48,
     per_step = math.exp(-config48.nu * config48.T) * 1.1
 
     traj = solve(config48, report.state, lift48, basis48, tensors=tensors48)
-    recon = reconstruct(traj, basis48, lift48)
-    closure = norm_l2(recon[-1] - recon[0])
+    closure = norm_l2(reconstruct(traj, basis48, lift48)
+                      - reconstruct(traj, basis48, lift48, n=0))
 
     print(f"criterion 3: residuals {[f'{x:.3e}' for x in r]}, "
           f"cap {cap}, closure {closure:.3e}")
@@ -233,8 +237,7 @@ def test_criterion_7_algebraic_invariants(square48, torus64, basis48,
 
 def test_criterion_8_m_convergence(square48, cache_dir, lift48, config48):
     basis = compute_eigenbasis(square48, 64, cache_dir=cache_dir)
-    full = assemble_tensors(basis, lift48, nu=config48.nu,
-                            cache_dir=cache_dir)
+    full = assemble_tensors(basis, lift48, nu=config48.nu)
 
     finals = {}
     for m in (8, 16, 32, 64):

@@ -145,6 +145,22 @@ def test_solve_run_artifacts_and_manifest(tmp_path, capsys):
     assert eff["seed"] == 0
 
 
+def test_torus_solve_recovers_pressure(tmp_path, capsys):
+    # a random multi-shell start spills advection outside the span, so
+    # the drop is modest; large drops belong to single-product starts
+    out = str(tmp_path / "tg_out")
+    path = write_config(tmp_path, out=out, seed=3, boundary={"profile": None},
+                        solver={"nu": 0.1, "nx": 32, "m": 8, "grid_kind": "torus"},
+                        initial={"kind": "ball", "radius": 0.2})
+    rc = main(["solve", "--config", path])
+    capsys.readouterr()
+    assert rc == 0
+    man = read_manifest(out)
+    assert "pressure_final.npz" in man["outputs"]
+    assert os.path.exists(os.path.join(out, "pressure_final.npz"))
+    assert man["summary"]["momentum_residual_drop"] > 2.0
+
+
 def test_lift_sweep_run(tmp_path, capsys):
     out = str(tmp_path / "lift_out")
     path = write_config(tmp_path, experiment="lift", out=out,
@@ -161,6 +177,7 @@ def test_lift_sweep_run(tmp_path, capsys):
         rows = fh.read().splitlines()
     assert rows[0] == "epsilon,delta,beta,smallness_ratio,div_max"
     assert len(rows) == 5
+    assert os.path.exists(os.path.join(out, "lift_G.npz"))
 
 
 def test_verify_run_passes(tmp_path, capsys):
@@ -200,6 +217,14 @@ def test_reproductive_run_and_budget_gate(tmp_path, capsys):
     assert man["summary"]["converged"]
     assert os.path.exists(os.path.join(out, "v0_reproductive.npz"))
 
+    again = str(tmp_path / "rep_again")
+    assert main(["reproductive", "--config", path, "--out", again]) == 0
+    capsys.readouterr()
+    for name in ("residuals.csv", "contraction.csv"):
+        with open(os.path.join(out, name), "rb") as fa, \
+                open(os.path.join(again, name), "rb") as fb:
+            assert fa.read() == fb.read(), name
+
     hot = str(tmp_path / "hot_out")
     path2 = write_config(tmp_path, name="hot.yaml", experiment="reproductive",
                          out=hot, solver={"nx": 32, "m": 8, "T": 0.2},
@@ -238,13 +263,18 @@ def test_rerun_is_byte_identical(tmp_path, capsys):
 def test_cache_env_is_honored(tmp_path, capsys, monkeypatch):
     cache = str(tmp_path / "shared_cache")
     out = str(tmp_path / "env_out")
+    workdir = tmp_path / "workdir"
+    workdir.mkdir()
+    monkeypatch.chdir(workdir)
     monkeypatch.setenv("REPROFLOW_CACHE", cache)
-    path = write_config(tmp_path, experiment="eigs", out=out, boundary={},
-                        solver={"nx": 16, "m": 4})
-    assert main(["eigs", "--config", path]) == 0
+    # the config's relative out is overridden, so nothing lands in the cwd
+    path = write_config(tmp_path, experiment="eigs", out="runs/out",
+                        boundary={}, solver={"nx": 16, "m": 4})
+    assert main(["eigs", "--config", path, "--out", out]) == 0
     capsys.readouterr()
     assert any(f.endswith(".npz") for f in os.listdir(cache))
     assert not os.path.exists(os.path.join(out, "cache"))
+    assert os.listdir(workdir) == []
 
 
 def test_seed_override_changes_ball_start(tmp_path, capsys):

@@ -99,6 +99,8 @@ def test_calibrate_slack_nonnegative(config32, lift32, basis32):
                             lift32, basis32)
     print(f"calibrated slack rate kappa = {kappa:.6e}")
     assert 0.0 <= kappa < 1.0
+    # pinned, so that a change to the energy formula shows here
+    assert kappa == pytest.approx(6.30530855971756e-4, rel=1e-14, abs=0)
 
 
 def test_stability_decay(config32, lift32, basis32, tensors32):
