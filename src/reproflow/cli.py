@@ -1,9 +1,11 @@
 """Command-line front end: configuration, orchestration, and artifacts.
 
-One run = one YAML config + one output directory.  The config is
-validated strictly (unknown keys are errors, reported with their full
-path) and the effective config — defaults filled in — is written next
-to the results, so a run directory is self-describing.  Every run ends
+One run = one YAML config + one output directory.  Every run value is
+set in the config; the command line adds only ``--config``, ``--out``
+(a path) and ``--seed``.  The config is validated strictly (unknown
+keys and misplaced nulls are errors, reported with their full path) and
+the effective config — defaults filled in — is written next to the
+results, so a run directory is self-describing.  Every run ends
 with an atomically written ``manifest.json`` listing the config hash,
 code version, basis cache key, wall-clock, every output file, and the
 aggregate pass/fail.
@@ -46,11 +48,11 @@ from .lift import (
     SolverFailure,
     boundary_profile,
     build_lift,
-    compute_beta,
     load_boundary_table,
     verify_smallness,
 )
 from .reproductive import (
+    DEFAULT_BUDGET_FIXTURE,
     NonConvergence,
     SmallnessBudget,
     find_reproductive,
@@ -80,7 +82,8 @@ class ConfigFileError(ValueError):
 # config schema
 # ---------------------------------------------------------------------------
 
-# (default, type) pairs; dicts nest.  None as default means "may be absent".
+# (default, type) pairs; dicts nest.  None as default means "may be absent"
+# and is the only case where a config may write null.
 SCHEMA = {
     "experiment": (None, str),
     "out": ("runs/out", str),
@@ -106,20 +109,19 @@ SCHEMA = {
     "verify": {
         # slack rate calibrated on the standard fixture (tools/calibrate_regime.py)
         "kappa": (3.08268453e-3, float),
-        "m_radius": (0.05, float),
+        # the smallness ball B_M of verify, stability and reproductive
+        "m_radius": (DEFAULT_BUDGET_FIXTURE["m_radius"], float),
     },
     "stability": {
         "perturbation": (1e-4, float),
     },
     "reproductive": {
         "tol": (1e-10, float),
-        "max_iter": (None, int),
         "pairs": (5, int),
     },
     "budget": {
-        "alpha": (0.05, float),
-        "k_force": (1.5, float),
-        "m_radius": (0.05, float),
+        "alpha": (DEFAULT_BUDGET_FIXTURE["alpha"], float),
+        "k_force": (DEFAULT_BUDGET_FIXTURE["k_force"], float),
     },
     "sweep": {
         "epsilons": ([0.4, 0.2, 0.1, 0.05], list),
@@ -144,7 +146,10 @@ def _walk_schema(data, schema, path, errors, out):
             continue
         default, typ = spec
         if val is None:
-            out[key] = None
+            if default is None:
+                out[key] = None
+            else:
+                errors.append(f"{here}: expected {typ.__name__}, got null")
             continue
         if typ is float and isinstance(val, (int, float)) and not isinstance(val, bool):
             out[key] = float(val)
@@ -264,12 +269,11 @@ def _atomic_json(path, obj):
 class RunContext:
     """Everything one experiment needs: config, outdir bookkeeping, cache."""
 
-    def __init__(self, config, force_rebuild_basis=False):
+    def __init__(self, config):
         self.config = config
         self.outdir = config.out
         os.makedirs(self.outdir, exist_ok=True)
         self.cache_dir = os.environ.get(CACHE_ENV) or os.path.join(self.outdir, "cache")
-        self.force_rebuild = force_rebuild_basis
         self.outputs = []
         self.grid = Grid(config.solver.grid_kind, config.solver.nx)
 
@@ -279,8 +283,7 @@ class RunContext:
 
     def basis(self):
         return compute_eigenbasis(self.grid, self.config.solver.m,
-                                  cache_dir=self.cache_dir,
-                                  force_rebuild=self.force_rebuild)
+                                  cache_dir=self.cache_dir)
 
     def basis_cache_key(self):
         return os.path.basename(_cache_path(self.cache_dir, self.grid,
@@ -294,13 +297,18 @@ class RunContext:
             return boundary_profile(self.grid, b["profile"], amplitude=b["amplitude"])
         return None
 
-    def lift(self, boundary=None):
-        boundary = self.boundary() if boundary is None else boundary
-        if boundary is None:
-            return None
-        lift = build_lift(boundary, self.config.solver.epsilon, self.grid)
-        compute_beta(lift)
-        return lift
+    def pipeline(self):
+        """(basis, boundary, lift, tensors, rng) of a solving experiment.
+
+        Each runner calls this once, so nothing is built twice in a run;
+        boundary and lift are None without wall data.
+        """
+        cfg = self.config.solver
+        basis = self.basis()
+        boundary = self.boundary()
+        lift = None if boundary is None else build_lift(boundary, cfg.epsilon, self.grid)
+        tensors = assemble_tensors(basis, lift, nu=cfg.nu)
+        return basis, boundary, lift, tensors, np.random.default_rng(self.config.seed)
 
     def initial_state(self, basis, rng):
         ini = self.config.section("initial")
@@ -350,7 +358,6 @@ def _run_lift(ctx):
     betas, ratios = [], []
     for eps in sweep["epsilons"]:
         lift = build_lift(boundary, eps, ctx.grid)
-        compute_beta(lift)
         ratio = verify_smallness(lift, samples=sweep["samples"],
                                  seed=ctx.config.seed)
         div_max = float(np.abs(divergence(lift.G_eps).values).max())
@@ -371,20 +378,17 @@ def _run_lift(ctx):
 
 
 def _solve_common(ctx):
-    cfg = ctx.config.solver
-    basis = ctx.basis()
-    lift = ctx.lift()
-    tensors = assemble_tensors(basis, lift, nu=cfg.nu)
-    rng = np.random.default_rng(ctx.config.seed)
+    """Solve from the configured initial state; writes the trajectory CSVs."""
+    basis, _, lift, tensors, rng = ctx.pipeline()
     u0 = ctx.initial_state(basis, rng)
-    traj = solve(cfg, u0, lift, basis, tensors=tensors)
-    return basis, lift, tensors, u0, traj, rng
+    traj = solve(ctx.config.solver, u0, lift, basis, tensors=tensors)
+    _write_trajectory(ctx, traj)
+    return basis, lift, traj
 
 
 def _run_solve(ctx):
     cfg = ctx.config.solver
-    basis, lift, tensors, u0, traj, _ = _solve_common(ctx)
-    _write_trajectory(ctx, traj)
+    basis, lift, traj = _solve_common(ctx)
     save_vector(ctx.path("v_final.npz"), reconstruct(traj, basis, lift),
                 t=traj.times[-1])
     summary = {"steps": traj.n_steps, "l2sq_final": float(traj.l2sq[-1]),
@@ -402,8 +406,7 @@ def _run_solve(ctx):
 def _run_verify(ctx):
     cfg = ctx.config.solver
     vcfg = ctx.config.section("verify")
-    basis, lift, tensors, u0, traj, _ = _solve_common(ctx)
-    _write_trajectory(ctx, traj)
+    basis, lift, traj = _solve_common(ctx)
 
     beta = lift.beta if lift is not None else 0.0
     energy = check_energy_inequality(traj, cfg.nu, poincare_constant(basis),
@@ -411,8 +414,8 @@ def _run_verify(ctx):
     ball = check_h1_bound(traj, vcfg["m_radius"])
     rate = rate_identity_residual(traj, where="midpoint")
 
-    rec = energy.records[0]
-    rows = list(zip(range(1, len(rec.lhs) + 1), rec.lhs, rec.rhs, rec.violations))
+    rows = list(zip(range(1, len(energy.lhs) + 1), energy.lhs, energy.rhs,
+                    energy.violations))
     write_csv(ctx.path("violations.csv"), ["step", "lhs", "rhs", "violation"], rows)
 
     for line in energy.lines() + ball.lines():
@@ -420,7 +423,7 @@ def _run_verify(ctx):
     print(f"      rate identity residual (midpoint): {rate:.3e}")
     passed = energy.passed and ball.passed and rate <= 1e-9
     return passed, {
-        "energy_max_violation": rec.max_violation,
+        "energy_max_violation": energy.max_violation,
         "energy_passed": energy.passed,
         "h1_sup": ball.regime["sup_vnorm"],
         "h1_passed": ball.passed,
@@ -433,10 +436,7 @@ def _run_verify(ctx):
 def _run_stability(ctx):
     cfg = ctx.config.solver
     amp = ctx.config.section("stability")["perturbation"]
-    basis = ctx.basis()
-    lift = ctx.lift()
-    tensors = assemble_tensors(basis, lift, nu=cfg.nu)
-    rng = np.random.default_rng(ctx.config.seed)
+    basis, _, lift, tensors, rng = ctx.pipeline()
     v0 = ctx.initial_state(basis, rng)
     z = rng.standard_normal(cfg.m)
     z *= amp / np.sqrt((z**2) @ basis.eigenvalues)
@@ -457,13 +457,11 @@ def _run_reproductive(ctx):
     cfg = ctx.config.solver
     rcfg = ctx.config.section("reproductive")
     bcfg = ctx.config.section("budget")
-    basis = ctx.basis()
-    boundary = ctx.boundary()
-    lift = ctx.lift(boundary)
-    tensors = assemble_tensors(basis, lift, nu=cfg.nu)
+    basis, boundary, lift, tensors, _ = ctx.pipeline()
 
     budget = validate_budget(boundary, lift, cfg.nu, budget=SmallnessBudget(
-        alpha=bcfg["alpha"], k_force=bcfg["k_force"], m_radius=bcfg["m_radius"]))
+        alpha=bcfg["alpha"], k_force=bcfg["k_force"],
+        m_radius=ctx.config.section("verify")["m_radius"]))
     for line in budget.lines():
         print(line)
     if not budget.satisfied:
@@ -471,8 +469,7 @@ def _run_reproductive(ctx):
                               "the fixed-point claims are out of regime")
 
     report = find_reproductive(cfg, lift, basis, tol=rcfg["tol"],
-                               max_iter=rcfg["max_iter"], tensors=tensors,
-                               m_radius=budget.m_radius)
+                               tensors=tensors, m_radius=budget.m_radius)
     ratios = report.ratios
     rows = [(k, r, ratios[k - 1] if 1 <= k <= len(ratios) else "")
             for k, r in enumerate(report.residuals)]
@@ -522,9 +519,9 @@ def _config_hash(effective):
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def run(config, force_rebuild_basis=False):
+def run(config):
     """Execute one experiment; returns (exit_code, manifest_dict)."""
-    ctx = RunContext(config, force_rebuild_basis=force_rebuild_basis)
+    ctx = RunContext(config)
     eff_path = ctx.path("effective_config.json")
     _atomic_json(eff_path, config.raw)
 
@@ -572,15 +569,6 @@ def _build_parser():
         p.add_argument("--config", required=True, help="YAML run config")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
         p.add_argument("--seed", type=int, default=None, help="seed (overrides config)")
-        p.add_argument("--force-rebuild-basis", action="store_true",
-                       help="ignore any cached eigenbasis")
-        if name == "reproductive":
-            p.add_argument("--tol", type=float, default=None,
-                           help="fixed-point tolerance (overrides config)")
-            p.add_argument("--max-iter", type=int, default=None,
-                           help="iteration cap (overrides config)")
-            p.add_argument("--pairs", type=int, default=None,
-                           help="contraction sample pairs (overrides config)")
     return parser
 
 
@@ -593,16 +581,11 @@ def main(argv=None):
             raise ConfigFileError(
                 f"config names experiment {config.experiment!r} but the "
                 f"subcommand is {args.command!r}")
-        if args.command == "reproductive":
-            for key in ("tol", "max_iter", "pairs"):
-                val = getattr(args, key)
-                if val is not None:
-                    config.raw["reproductive"][key] = val
     except (ConfigFileError, InvalidBoundaryData) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        code, _ = run(config, force_rebuild_basis=args.force_rebuild_basis)
+        code, _ = run(config)
     except (ConfigFileError, ConfigError, InvalidBoundaryData) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -329,19 +329,17 @@ def _lap_periodic(a, h):
 
 
 def laplacian(field, bc="noslip"):
-    """Five-point Laplacian of a vector or scalar field (second order).
+    """Five-point Laplacian of a vector field (second order).
 
     Parameters
     ----------
-    field : VectorField or ScalarField
+    field : VectorField
     bc : str
         Wall closure on the square, chosen by the caller:
         ``"noslip"`` -- odd-mirror ghosts for tangential velocity components,
         wall values kept for normal ones; the operator whose eigenpairs the
         Stokes basis consists of.  ``"extrapolate"`` -- one-sided quadratic
         ghosts, for fields with nonzero tangential wall traces (the lift).
-        Scalars on the square use even mirrors (zero normal flux) for
-        ``"noslip"`` and the same extrapolation otherwise.
         Ignored on the torus (wraparound).
 
     On the square the output at wall-normal faces is set to 0 -- those are
@@ -349,23 +347,6 @@ def laplacian(field, bc="noslip"):
     """
     g = field.grid
     h = g.h
-    if isinstance(field, ScalarField):
-        if g.kind == TORUS:
-            return ScalarField(g, _lap_periodic(field.values, h), loc=field.loc)
-        a = field.values
-        if bc == "noslip":
-            # even mirror: ghost = first interior sample
-            ext = np.pad(a, 1, mode="edge")
-        elif bc == "extrapolate":
-            ext = _pad_extrap(a)
-        else:
-            raise ValueError(f"unknown bc {bc!r}")
-        out = (
-            ext[2:, 1:-1] + ext[:-2, 1:-1] + ext[1:-1, 2:] + ext[1:-1, :-2]
-            - 4.0 * a
-        ) / h**2
-        return ScalarField(g, out, loc=field.loc)
-
     if g.kind == TORUS:
         return VectorField(g, _lap_periodic(field.u, h), _lap_periodic(field.v, h))
 
@@ -387,22 +368,12 @@ def laplacian(field, bc="noslip"):
     return VectorField(g, lu, lv)
 
 
-def _pad_extrap(a):
-    out = np.empty((a.shape[0] + 2, a.shape[1] + 2))
-    out[1:-1, 1:-1] = a
-    out[0, 1:-1] = 3 * a[0] - 3 * a[1] + a[2]
-    out[-1, 1:-1] = 3 * a[-1] - 3 * a[-2] + a[-3]
-    out[:, 0] = 3 * out[:, 1] - 3 * out[:, 2] + out[:, 3]
-    out[:, -1] = 3 * out[:, -2] - 3 * out[:, -3] + out[:, -4]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # advection and the trilinear form
 # ---------------------------------------------------------------------------
 
 
-def _centered(a, axis, h, periodic, extrap_walls):
+def _centered(a, axis, h, periodic):
     """Centered first derivative along ``axis``.
 
     On walls (square, along the tangential direction) a second-order
@@ -466,10 +437,10 @@ def advect(a, b):
     h = g.h
     per = g.kind == TORUS
 
-    dbu_dx = _centered(b.u, 0, h, per, True)
-    dbu_dy = _centered(b.u, 1, h, per, True)
-    dbv_dx = _centered(b.v, 0, h, per, True)
-    dbv_dy = _centered(b.v, 1, h, per, True)
+    dbu_dx = _centered(b.u, 0, h, per)
+    dbu_dy = _centered(b.u, 1, h, per)
+    dbv_dx = _centered(b.v, 0, h, per)
+    dbv_dy = _centered(b.v, 1, h, per)
 
     au = a.u
     av_u = _v_at_ufaces(a)

@@ -21,7 +21,7 @@ import warnings
 import numpy as np
 
 from .galerkin import GalerkinState, assemble_tensors, solve
-from .lift import compute_beta, compute_forcing
+from .lift import compute_forcing
 from .fields import inner_l2
 from .verification import RegimeViolation
 
@@ -132,8 +132,6 @@ def validate_budget(boundary, lift, nu, budget=None):
         budget = SmallnessBudget(**DEFAULT_BUDGET_FIXTURE)
     if lift.f_eps is None:
         compute_forcing(lift, nu)
-    if lift.beta is None:
-        compute_beta(lift)
     budget.g_norm = boundary_norm_proxy(boundary)
     budget.f_norm = math.sqrt(inner_l2(lift.f_eps, lift.f_eps))
     budget.beta = lift.beta

@@ -357,7 +357,7 @@ def _cache_path(cache_dir, grid, m):
     return os.path.join(cache_dir, name)
 
 
-def compute_eigenbasis(grid, m, cache_dir=None, force_rebuild=False):
+def compute_eigenbasis(grid, m, cache_dir=None):
     """The m smallest Stokes eigenpairs on the grid, L2-orthonormal.
 
     Deterministic: fixed eigensolver start vector, explicit ascending sort,
@@ -368,7 +368,7 @@ def compute_eigenbasis(grid, m, cache_dir=None, force_rebuild=False):
     if m < 1:
         raise ValueError("need at least one mode")
     path = _cache_path(cache_dir, grid, m) if cache_dir else None
-    if path and not force_rebuild and os.path.exists(path):
+    if path and os.path.exists(path):
         try:
             with np.load(path, allow_pickle=False) as d:
                 basis = StokesBasis(grid, d["eigenvalues"], d["ustack"], d["vstack"])

@@ -31,13 +31,14 @@ class RegimeViolation(RuntimeError):
 
 
 @dataclasses.dataclass
-class InequalityRecord:
+class InequalityReport:
     """Per-step record of one monitored inequality lhs <= rhs."""
 
     name: str
     lhs: np.ndarray
     rhs: np.ndarray
     tol: float
+    regime: dict
 
     @property
     def violations(self):
@@ -52,22 +53,10 @@ class InequalityRecord:
     def passed(self):
         return bool(np.isfinite(self.violations).all()) and self.max_violation <= self.tol
 
-
-@dataclasses.dataclass
-class EnergyReport:
-    records: list
-    regime: dict
-
-    @property
-    def passed(self):
-        return all(r.passed for r in self.records)
-
     def lines(self):
-        out = []
-        for r in self.records:
-            status = "pass" if r.passed else "FAIL"
-            out.append(f"{status}  {r.name}: max violation {r.max_violation:+.3e} "
-                       f"(tol {r.tol:.1e})")
+        status = "pass" if self.passed else "FAIL"
+        out = [f"{status}  {self.name}: max violation {self.max_violation:+.3e} "
+               f"(tol {self.tol:.1e})"]
         for key, val in self.regime.items():
             out.append(f"      regime {key}: {val}")
         return out
@@ -112,9 +101,8 @@ def check_energy_inequality(traj, nu, c_omega, beta=0.0, kappa=0.0, tol=ENERGY_T
     l2, h1, fsq = traj.l2sq, traj.h1sq, traj.f_l2sq
     lhs = (l2[1:] - l2[:-1]) / dt + 0.5 * nu * h1[1:]
     rhs = fsq[1:] / (nu * c_omega**2)
-    rec = InequalityRecord("energy", lhs, rhs, tol + kappa * dt)
-    return EnergyReport(records=[rec],
-                        regime={"beta": beta, "beta_max": 0.25 * nu, "kappa": kappa})
+    return InequalityReport("energy", lhs, rhs, tol + kappa * dt,
+                            regime={"beta": beta, "beta_max": 0.25 * nu, "kappa": kappa})
 
 
 def calibrate_slack(config, u0, lift, basis, nu=None, refine=2):
@@ -134,7 +122,7 @@ def calibrate_slack(config, u0, lift, basis, nu=None, refine=2):
     def worst(cfg):
         traj = solve(cfg, GalerkinState(0.0, u0.c.copy()), lift, basis,
                      tensors=tensors)
-        return check_energy_inequality(traj, nu, c_omega).records[0].max_violation
+        return check_energy_inequality(traj, nu, c_omega).max_violation
 
     fine = dataclasses.replace(config, dt=config.dt / refine)
     v_coarse = worst(config)
@@ -151,12 +139,10 @@ def check_h1_bound(traj, m_radius):
     inside the ball so the two cases can be told apart.
     """
     sup = np.sqrt(traj.h1sq)
-    rec = InequalityRecord("h1-ball", sup, np.full_like(sup, m_radius), 0.0)
-    initial_in = bool(sup[0] <= m_radius)
-    return EnergyReport(records=[rec],
-                        regime={"initial_in_ball": initial_in,
-                                "sup_vnorm": float(sup.max()),
-                                "m_radius": float(m_radius)})
+    return InequalityReport("h1-ball", sup, np.full_like(sup, m_radius), 0.0,
+                            regime={"initial_in_ball": bool(sup[0] <= m_radius),
+                                    "sup_vnorm": float(sup.max()),
+                                    "m_radius": float(m_radius)})
 
 
 def rate_identity_residual(traj, where="midpoint"):

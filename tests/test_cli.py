@@ -35,13 +35,36 @@ def read_manifest(outdir):
 
 def test_unknown_keys_reported_with_paths(tmp_path, capsys):
     path = tmp_path / "bad.yaml"
+    # reproductive.max_iter and budget.m_radius are not keys: the Picard cap
+    # is derived from the first residual, and verify.m_radius is the ball
     path.write_text("experiment: solve\nboundar: {profile: x}\n"
-                    "verify: {kapa: 1.0}\nsolver: {dx: 0.1}\n")
+                    "verify: {kapa: 1.0}\nsolver: {dx: 0.1}\n"
+                    "reproductive: {max_iter: 3}\nbudget: {m_radius: 0.05}\n")
     rc = main(["solve", "--config", str(path)])
     err = capsys.readouterr().err
     assert rc == 2
-    for needle in ("boundar", "verify.kapa", "solver.dx"):
-        assert needle in err, err
+    for needle in ("boundar", "verify.kapa", "solver.dx", "reproductive.max_iter",
+                   "budget.m_radius"):
+        assert f"{needle}: unknown key" in err, err
+
+
+@pytest.mark.parametrize("dotted", ["solver.nu", "verify.kappa", "seed"])
+def test_null_rejected_where_default_is_set(tmp_path, capsys, dotted):
+    *section, key = dotted.split(".")
+    path = write_config(tmp_path, **({section[0]: {key: None}} if section else {key: None}))
+    rc = main(["solve", "--config", path])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"{dotted}: expected" in err, err
+
+
+@pytest.mark.parametrize("flag", ["--tol=1e-8", "--pairs=2", "--force-rebuild-basis"])
+def test_run_values_have_no_flags(tmp_path, capsys, flag):
+    path = write_config(tmp_path, experiment="reproductive")
+    with pytest.raises(SystemExit) as exc:
+        main(["reproductive", "--config", path, flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_dt_must_divide_horizon(tmp_path, capsys):
@@ -224,6 +247,17 @@ def test_reproductive_run_and_budget_gate(tmp_path, capsys):
         with open(os.path.join(out, name), "rb") as fa, \
                 open(os.path.join(again, name), "rb") as fb:
             assert fa.read() == fb.read(), name
+
+    # verify.m_radius is the ball the contraction pairs are drawn from
+    small = str(tmp_path / "rep_small")
+    path_small = write_config(tmp_path, name="small.yaml", experiment="reproductive",
+                              out=small, solver={"nx": 32, "m": 8, "T": 0.2},
+                              reproductive={"pairs": 2}, verify={"m_radius": 0.02})
+    assert main(["reproductive", "--config", path_small]) == 0
+    capsys.readouterr()
+    with open(os.path.join(out, "contraction.csv"), "rb") as fa, \
+            open(os.path.join(small, "contraction.csv"), "rb") as fb:
+        assert fa.read() != fb.read()
 
     hot = str(tmp_path / "hot_out")
     path2 = write_config(tmp_path, name="hot.yaml", experiment="reproductive",

@@ -49,7 +49,7 @@ def test_energy_inequality_on_decaying_vortices(torus64, basis_t64):
         print(line)
     assert report.passed
     # no forcing: the balance should hold with a strict margin
-    assert report.records[0].max_violation < -1.0
+    assert report.max_violation < -1.0
 
 
 def test_energy_inequality_on_bump_run(bump_traj, basis32, lift32):
@@ -58,16 +58,15 @@ def test_energy_inequality_on_bump_run(bump_traj, basis32, lift32):
     for line in report.lines():
         print(line)
     assert report.passed
-    assert report.records[0].max_violation < 0.0
+    assert report.max_violation < 0.0
 
 
 def test_zero_data_violations_are_exactly_zero(config32, basis32):
     traj = solve(config32, GalerkinState(0.0, np.zeros(8)), None, basis32)
     report = check_energy_inequality(traj, config32.nu,
                                      poincare_constant(basis32))
-    rec = report.records[0]
-    assert rec.max_violation == 0.0
-    assert np.all(rec.lhs == 0.0) and np.all(rec.rhs == 0.0)
+    assert report.max_violation == 0.0
+    assert np.all(report.lhs == 0.0) and np.all(report.rhs == 0.0)
 
 
 def test_beta_gate_refuses_to_judge(bump_traj, basis32):
@@ -164,5 +163,5 @@ def test_energy_monitor_catches_injected_violation(bump_traj, basis32, lift32):
     report = check_energy_inequality(bad, 1.0, poincare_constant(basis32),
                                      beta=lift32.beta)
     assert not report.passed
-    assert report.records[0].max_violation > 0.0
-    assert int(np.argmax(report.records[0].violations)) == 99
+    assert report.max_violation > 0.0
+    assert int(np.argmax(report.violations)) == 99

@@ -89,13 +89,13 @@ traj = solve(cfg_e, u0, lift, basis, tensors=tensors)
 rep = check_energy_inequality(traj, NU, poincare_constant(basis),
                               beta=lift.beta, kappa=kappa)
 print(f"energy monitor (radius-M start): passed={rep.passed}, "
-      f"max violation {rep.records[0].max_violation:+.6e}")
+      f"max violation {rep.max_violation:+.6e}")
 traj0 = solve(cfg_e, GalerkinState(0.0, np.zeros(M_MODES)), lift, basis,
               tensors=tensors)
 rep0 = check_energy_inequality(traj0, NU, poincare_constant(basis),
                                beta=lift.beta, kappa=kappa)
 print(f"energy monitor (zero start):     passed={rep0.passed}, "
-      f"max violation {rep0.records[0].max_violation:+.6e}")
+      f"max violation {rep0.max_violation:+.6e}")
 
 # contraction at the acceptance operating point
 budget = SmallnessBudget(alpha=0.05, k_force=1.0, m_radius=M_RADIUS,
