@@ -234,6 +234,19 @@ def parse_config(path, out_override=None, seed_override=None):
     if out["initial"]["kind"] not in ("zero", "ball"):
         raise ConfigFileError(
             f"initial.kind: expected zero or ball, got {out['initial']['kind']!r}")
+    # each of these would otherwise crash a run or let a gate pass on nothing
+    rp, sw = out["reproductive"], out["sweep"]
+    eps_ok = len(sw["epsilons"]) > 0 and all(
+        type(e) in (int, float) and 0.0 < e <= 1.0 for e in sw["epsilons"])
+    ranges = [("reproductive.tol", rp["tol"], rp["tol"] > 0, "a positive number"),
+              ("reproductive.pairs", rp["pairs"], rp["pairs"] >= 1, "at least 1"),
+              ("sweep.epsilons", sw["epsilons"], eps_ok,
+               "a non-empty list of numbers in (0, 1]"),
+              ("sweep.samples", sw["samples"], sw["samples"] >= 1, "at least 1")]
+    errors = [f"{here}: expected {want}, got {val!r}"
+              for here, val, ok, want in ranges if not ok]
+    if errors:
+        raise ConfigFileError("invalid config:\n  " + "\n  ".join(errors))
 
     return RunConfig(experiment=out["experiment"], out=out["out"],
                      seed=out["seed"], solver=solver, raw=out)

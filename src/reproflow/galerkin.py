@@ -90,7 +90,7 @@ def explicit_dt_bound(tensors, c0):
     0.5 over (worst coupling row sum + state norm times worst quadratic
     row sum); recorded in run metadata and enforced before stepping.
     """
-    de = np.abs(tensors.D + tensors.E)
+    de = np.abs(tensors.DE)
     # sum over the transported-mode index; worst case over time samples
     row_lin = de.sum(axis=-2).max() if de.size else 0.0
     row_quad = np.abs(tensors.B).sum(axis=(0, 1)).max()
@@ -114,7 +114,7 @@ def check_dt_bound(config, tensors, c0):
 # tensors
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class Tensors:
     """Quadrature tensors of the expanded coefficient system.
 
@@ -123,6 +123,12 @@ class Tensors:
     (lift as transported / transporting argument respectively); F is
     the forcing projection.  For time-dependent lifts D, E, F gain a
     leading time axis aligned with `times`.
+
+    The step loop reads two arrays built once here: DE = D + E (per
+    time sample for unsteady lifts) and B_flat, B as a C-contiguous
+    (m, m*m) matrix (a view, or a copy when B is a slice of a larger
+    tensor), so that each quadratic term is two matrix-vector products
+    with no per-step copy.
     """
 
     B: np.ndarray
@@ -131,16 +137,18 @@ class Tensors:
     F: np.ndarray
     lam: np.ndarray
     times: np.ndarray = None
+    DE: np.ndarray = dataclasses.field(init=False, repr=False)
+    B_flat: np.ndarray = dataclasses.field(init=False, repr=False)
+
+    def __post_init__(self):
+        m = self.B.shape[0]
+        object.__setattr__(self, "DE", self.D + self.E)
+        object.__setattr__(self, "B_flat",
+                           np.ascontiguousarray(self.B).reshape(m, m * m))
 
     @property
     def steady(self):
         return self.times is None
-
-    def row(self, k):
-        """(D+E, F) at time sample k (steady tensors ignore k)."""
-        if self.steady:
-            return self.D + self.E, self.F
-        return self.D[k] + self.E[k], self.F[k]
 
 
 def _flat(w):
@@ -254,15 +262,15 @@ def project_initial(v0, lift, basis, trace_tol=0.05):
     return GalerkinState(0.0, c), err
 
 
-def _nonstiff(c, b, de, f):
-    quad = np.einsum("ilj,i,l->j", b, c, c)
+def _nonstiff(c, b_flat, de, f):
+    quad = c @ (c @ b_flat).reshape(len(c), len(c))
     return -quad - c @ de + f
 
 
 def rhs(state, tensors, nu, k=0):
     """Full coefficient derivative at time sample k."""
-    de, f = tensors.row(k)
-    return -nu * tensors.lam * state.c + _nonstiff(state.c, tensors.B, de, f)
+    de, f = (tensors.DE, tensors.F) if tensors.steady else (tensors.DE[k], tensors.F[k])
+    return -nu * tensors.lam * state.c + _nonstiff(state.c, tensors.B_flat, de, f)
 
 
 def step(state, tensors, config, _efactor=None, k=0):
@@ -275,18 +283,22 @@ def step(state, tensors, config, _efactor=None, k=0):
     """
     dt, nu = config.dt, config.nu
     e1 = _efactor if _efactor is not None else np.exp(-nu * tensors.lam * dt)
-    de0, f0 = tensors.row(k)
-    de1, f1 = tensors.row(k + 1) if not tensors.steady else (de0, f0)
+    if tensors.steady:
+        de0 = de1 = tensors.DE
+        f0 = f1 = tensors.F
+    else:
+        de0, de1 = tensors.DE[k], tensors.DE[k + 1]
+        f0, f1 = tensors.F[k], tensors.F[k + 1]
 
-    c = state.c
-    k1 = _nonstiff(c, tensors.B, de0, f0)
+    c, b_flat = state.c, tensors.B_flat
+    k1 = _nonstiff(c, b_flat, de0, f0)
     c_pred = e1 * (c + dt * k1)
-    k2 = _nonstiff(c_pred, tensors.B, de1, f1)
+    k2 = _nonstiff(c_pred, b_flat, de1, f1)
     c_new = e1 * (c + (0.5 * dt) * k1) + (0.5 * dt) * k2
 
-    if not np.all(np.isfinite(c_new)) or np.abs(c_new).max() > 1e6:
-        bad = np.abs(c_new).max() if np.all(np.isfinite(c_new)) else np.inf
-        raise BlowupDetected(-1, bad)
+    peak = np.abs(c_new).max()
+    if not peak <= 1e6:  # also true for NaN
+        raise BlowupDetected(-1, peak if np.isfinite(peak) else np.inf)
     return GalerkinState(state.t + dt, c_new)
 
 

@@ -2,11 +2,13 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 import yaml
 
+from reproflow import __version__
 from reproflow.cli import main, parse_config, ConfigFileError
 
 
@@ -53,6 +55,24 @@ def test_null_rejected_where_default_is_set(tmp_path, capsys, dotted):
     *section, key = dotted.split(".")
     path = write_config(tmp_path, **({section[0]: {key: None}} if section else {key: None}))
     rc = main(["solve", "--config", path])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"{dotted}: expected" in err, err
+
+
+@pytest.mark.parametrize("dotted, value", [
+    ("reproductive.tol", 0.0), ("reproductive.tol", -1.0), ("reproductive.pairs", 0),
+    ("sweep.epsilons", []), ("sweep.epsilons", [0.4, 1.5]), ("sweep.epsilons", ["a"]),
+    ("sweep.samples", 0)],
+    ids=["tol=0", "tol<0", "pairs=0", "epsilons=[]", "epsilon>1", "epsilon=str",
+         "samples=0"])
+def test_out_of_range_values_rejected(tmp_path, capsys, dotted, value):
+    # tol <= 0 and a bad epsilon used to end in a traceback; zero pairs,
+    # no epsilons or no samples passed a gate with nothing measured
+    section, key = dotted.split(".")
+    exp = "lift" if section == "sweep" else "reproductive"
+    path = write_config(tmp_path, experiment=exp, **{section: {key: value}})
+    rc = main([exp, "--config", path])
     err = capsys.readouterr().err
     assert rc == 2
     assert f"{dotted}: expected" in err, err
@@ -117,6 +137,15 @@ def test_defaults_are_logged(tmp_path):
     assert cfg.solver.nx == 24
 
 
+def test_code_version_matches_pyproject():
+    # CSV bytes are pinned per code version, so the two must move together
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml")) as fh:
+        found = re.search(r'^version = "([^"]+)"$', fh.read(), re.MULTILINE)
+    assert found is not None
+    assert found.group(1) == __version__
+
+
 def test_config_root_must_be_mapping(tmp_path):
     path = tmp_path / "list.yaml"
     path.write_text("- 1\n- 2\n")
@@ -155,6 +184,7 @@ def test_solve_run_artifacts_and_manifest(tmp_path, capsys):
     assert len(man["config_hash"]) == 16
     assert man["basis_cache_key"].endswith(".npz")
     assert man["wall_clock_s"] >= 0.0
+    assert man["code_version"] == __version__
     with open(os.path.join(out, "energy.csv")) as fh:
         header = fh.readline().strip()
     assert header == "t,l2sq,h1sq,h2sq,f_l2sq"

@@ -10,6 +10,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from reproflow import galerkin
 from reproflow.fields import Grid, divergence, inner_h1
 from reproflow.galerkin import (
     BlowupDetected,
@@ -82,6 +83,94 @@ def test_energy_identity_of_rhs(tensors32):
         worst = max(worst, abs(lhs - rhs_val) / max(abs(lhs), 1e-30))
     print(f"energy identity rel residual {worst:.3e}")
     assert worst <= 1e-12
+
+
+def _reference_rhs(c, tensors, nu, k=0):
+    """The coefficient derivative written out term by term with einsum."""
+    if tensors.steady:
+        de, f = tensors.D + tensors.E, tensors.F
+    else:
+        de, f = tensors.D[k] + tensors.E[k], tensors.F[k]
+    quad = np.einsum("ilj,i,l->j", tensors.B, c, c)
+    return -nu * tensors.lam * c - quad - c @ de + f
+
+
+@pytest.fixture(scope="module")
+def sliced_tensors(tensors32):
+    # how criterion 8 and tools/oracle_mconv.py truncate a basis
+    m = 6
+    t = tensors32
+    return Tensors(B=t.B[:m, :m, :m], D=t.D[:m, :m], E=t.E[:m, :m], F=t.F[:m],
+                   lam=t.lam[:m])
+
+
+@pytest.fixture(scope="module")
+def unsteady_tensors(tensors32):
+    # every time sample has its own D, E and F, so reading a wrong or
+    # stale sample changes the result
+    rng = np.random.default_rng(13)
+    m, n = 8, 51
+    a = rng.standard_normal((n, m, m))
+    return Tensors(B=tensors32.B, D=0.5 * rng.standard_normal((n, m, m)),
+                   E=0.5 * (a - a.transpose(0, 2, 1)), F=rng.standard_normal((n, m)),
+                   lam=tensors32.lam, times=np.arange(n) * 1e-3)
+
+
+@pytest.mark.parametrize("which", ["tensors32", "sliced_tensors", "unsteady_tensors"])
+def test_rhs_matches_einsum_reference(request, which):
+    tensors = request.getfixturevalue(which)
+    if which == "sliced_tensors":
+        assert not tensors.B.flags.c_contiguous
+    rng = np.random.default_rng(17)
+    m = len(tensors.lam)
+    worst = 0.0
+    for k in (0, 1, 25, 50):
+        for _ in range(5):
+            c = rng.standard_normal(m)
+            got = rhs(GalerkinState(0.0, c), tensors, 1.0, k=k)
+            want = _reference_rhs(c, tensors, 1.0, k=k)
+            worst = max(worst, np.linalg.norm(got - want) / np.linalg.norm(want))
+    print(f"{which}: max relative deviation from einsum {worst:.3e}")
+    assert worst <= 1e-13
+
+
+def test_unsteady_solve_reads_samples_k_and_k_plus_1(basis32, unsteady_tensors):
+    tensors = unsteady_tensors
+    cfg = SolverConfig(nu=1.0, T=0.05, dt=1e-3, m=8, epsilon=0.4,
+                       grid_kind="square", nx=32)
+    c0 = 0.1 * np.random.default_rng(19).standard_normal(8)
+    traj = solve(cfg, GalerkinState(0.0, c0.copy()), None, basis32, tensors=tensors)
+
+    # integrating-factor Heun, stage 1 at sample k and stage 2 at k + 1;
+    # nu = 0 in the reference rhs leaves the non-stiff part
+    e1, dt = np.exp(-cfg.nu * tensors.lam * cfg.dt), cfg.dt
+    want = [c0]
+    for k in range(cfg.n_steps()):
+        c = want[-1]
+        k1 = _reference_rhs(c, tensors, 0.0, k)
+        k2 = _reference_rhs(e1 * (c + dt * k1), tensors, 0.0, k + 1)
+        want.append(e1 * (c + (0.5 * dt) * k1) + (0.5 * dt) * k2)
+    want = np.array(want)
+    dev = np.abs(traj.coeffs - want).max() / np.abs(want).max()
+    print(f"unsteady solve vs reference loop: {dev:.3e}")
+    assert dev <= 1e-13
+
+
+def test_solve_calls_step_through_the_module(monkeypatch, basis32, lift32, tensors32,
+                                            config32):
+    # the benchmark traces `galerkin.step` by replacing the module
+    # attribute; a solve that bypassed it would report no step time
+    calls = []
+    original = galerkin.step
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(galerkin, "step", counting)
+    traj = solve(config32, GalerkinState(0.0, np.zeros(8)), lift32, basis32,
+                 tensors=tensors32)
+    assert len(calls) == traj.n_steps == config32.n_steps()
 
 
 def test_dt_bound_monotone_and_enforced(tensors32, config32):
