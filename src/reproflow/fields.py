@@ -374,7 +374,7 @@ def laplacian(field, bc="noslip"):
 
 
 def _centered(a, axis, h, periodic):
-    """Centered first derivative along ``axis``.
+    """Centered first derivative along ``axis`` (leading batch axes allowed).
 
     On walls (square, along the tangential direction) a second-order
     one-sided formula is used instead of a ghost: correct for both
@@ -382,6 +382,7 @@ def _centered(a, axis, h, periodic):
     """
     if periodic:
         return (np.roll(a, -1, axis=axis) - np.roll(a, 1, axis=axis)) / (2 * h)
+    axis %= a.ndim
     out = np.empty_like(a)
     sl = lambda s: tuple(s if k == axis else slice(None) for k in range(a.ndim))
     out[sl(slice(1, -1))] = (a[sl(slice(2, None))] - a[sl(slice(0, -2))]) / (2 * h)
@@ -392,38 +393,75 @@ def _centered(a, axis, h, periodic):
     return out
 
 
-def _v_at_ufaces(w):
-    """Interpolate the y-component of w to the vertical (u) faces."""
-    g = w.grid
-    v = w.v
+def _v_at_ufaces(v, g):
+    """Interpolate y-velocity samples v (..., v-face shape) to the u faces."""
     if g.kind == TORUS:
-        vim = np.roll(v, 1, axis=0)          # v[i-1, j]
+        vim = np.roll(v, 1, axis=-2)          # v[i-1, j]
         return 0.25 * (
-            v + np.roll(v, -1, axis=1) + vim + np.roll(vim, -1, axis=1)
+            v + np.roll(v, -1, axis=-1) + vim + np.roll(vim, -1, axis=-1)
         )
-    out = np.zeros(g.shape_u())
-    slab = 0.25 * (v[:-1, :-1] + v[:-1, 1:] + v[1:, :-1] + v[1:, 1:])  # (nx-1, ny)
-    out[1:-1, :] = slab
+    out = np.zeros(v.shape[:-2] + g.shape_u())
+    # interior faces, shape (..., nx-1, ny)
+    slab = 0.25 * (v[..., :-1, :-1] + v[..., :-1, 1:] + v[..., 1:, :-1] + v[..., 1:, 1:])
+    out[..., 1:-1, :] = slab
     # wall u-faces: average the two adjacent v faces (one-sided in x)
-    out[0, :] = 0.5 * (v[0, :-1] + v[0, 1:])
-    out[-1, :] = 0.5 * (v[-1, :-1] + v[-1, 1:])
+    out[..., 0, :] = 0.5 * (v[..., 0, :-1] + v[..., 0, 1:])
+    out[..., -1, :] = 0.5 * (v[..., -1, :-1] + v[..., -1, 1:])
     return out
 
 
-def _u_at_vfaces(w):
-    g = w.grid
-    u = w.u
+def _u_at_vfaces(u, g):
+    """Interpolate x-velocity samples u (..., u-face shape) to the v faces."""
     if g.kind == TORUS:
-        ujm = np.roll(u, 1, axis=1)
+        ujm = np.roll(u, 1, axis=-1)
         return 0.25 * (
-            u + np.roll(u, -1, axis=0) + ujm + np.roll(ujm, -1, axis=0)
+            u + np.roll(u, -1, axis=-2) + ujm + np.roll(ujm, -1, axis=-2)
         )
-    out = np.zeros(g.shape_v())
-    slab = 0.25 * (u[:-1, :-1] + u[1:, :-1] + u[:-1, 1:] + u[1:, 1:])  # (nx, ny-1)
-    out[:, 1:-1] = slab
-    out[:, 0] = 0.5 * (u[:-1, 0] + u[1:, 0])
-    out[:, -1] = 0.5 * (u[:-1, -1] + u[1:, -1])
+    out = np.zeros(u.shape[:-2] + g.shape_v())
+    # interior faces, shape (..., nx, ny-1)
+    slab = 0.25 * (u[..., :-1, :-1] + u[..., 1:, :-1] + u[..., :-1, 1:] + u[..., 1:, 1:])
+    out[..., 1:-1] = slab
+    out[..., 0] = 0.5 * (u[..., :-1, 0] + u[..., 1:, 0])
+    out[..., -1] = 0.5 * (u[..., :-1, -1] + u[..., 1:, -1])
     return out
+
+
+def transport_stencils(u, v, g):
+    """What advection reads of its transporting field (a in (a.grad)b).
+
+    (u, v at the u faces, u at the v faces, v); u and v may carry
+    leading batch axes.
+    """
+    return u, _v_at_ufaces(v, g), _u_at_vfaces(u, g), v
+
+
+def gradient_stencils(u, v, g):
+    """What advection reads of its transported field (b in (a.grad)b).
+
+    (du/dx, du/dy, dv/dx, dv/dy), each on its own component's faces;
+    u and v may carry leading batch axes.
+    """
+    h, per = g.h, g.kind == TORUS
+    return (_centered(u, -2, h, per), _centered(u, -1, h, per),
+            _centered(v, -2, h, per), _centered(v, -1, h, per))
+
+
+def advect_into(out_u, out_v, a, db, g):
+    """(a . grad) b from the stencils of a and b, written into out_u/out_v.
+
+    `a` is a `transport_stencils` tuple and `db` a `gradient_stencils`
+    tuple; leading batch axes broadcast.  Wall faces of the square are
+    set to 0, as in `advect`.
+    """
+    au, av_u, au_v, av = a
+    dbu_dx, dbu_dy, dbv_dx, dbv_dy = db
+    np.add(au * dbu_dx, av_u * dbu_dy, out=out_u)
+    np.add(au_v * dbv_dx, av * dbv_dy, out=out_v)
+    if g.kind == SQUARE:
+        out_u[..., 0, :] = 0.0
+        out_u[..., -1, :] = 0.0
+        out_v[..., 0] = 0.0
+        out_v[..., -1] = 0.0
 
 
 def advect(a, b):
@@ -434,28 +472,10 @@ def advect(a, b):
     whose wall-normal samples vanish, so this costs nothing.
     """
     g = _same_grid(a, b)
-    h = g.h
-    per = g.kind == TORUS
-
-    dbu_dx = _centered(b.u, 0, h, per)
-    dbu_dy = _centered(b.u, 1, h, per)
-    dbv_dx = _centered(b.v, 0, h, per)
-    dbv_dy = _centered(b.v, 1, h, per)
-
-    au = a.u
-    av_u = _v_at_ufaces(a)
-    adv_u = au * dbu_dx + av_u * dbu_dy
-
-    av = a.v
-    au_v = _u_at_vfaces(a)
-    adv_v = au_v * dbv_dx + av * dbv_dy
-
-    if g.kind == SQUARE:
-        adv_u[0, :] = 0.0
-        adv_u[-1, :] = 0.0
-        adv_v[:, 0] = 0.0
-        adv_v[:, -1] = 0.0
-    return VectorField(g, adv_u, adv_v)
+    out = VectorField.zeros(g)
+    advect_into(out.u, out.v, transport_stencils(a.u, a.v, g),
+                gradient_stencils(b.u, b.v, g), g)
+    return out
 
 
 def inner_l2(a, b):

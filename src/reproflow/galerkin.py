@@ -17,13 +17,16 @@ from .fields import (
     ScalarField,
     VectorField,
     advect,
+    advect_into,
     divergence,
     gradient,
+    gradient_stencils,
     inner_h1,
     inner_l2,
     laplacian,
     norm_l2,
     tangential_trace,
+    transport_stencils,
 )
 from .lift import compute_forcing
 from .stokes import LerayProjector, _torus_wavenumbers
@@ -155,19 +158,30 @@ def _flat(w):
     return np.concatenate([w.u.ravel(), w.v.ravel()])
 
 
+# transported modes per assembly block: the (BLOCK, N) buffers stay small
+# while every matrix product still has BLOCK rows
+BLOCK = 8
+
+
 def assemble_tensors(basis, lift, nu=None):
     """All coefficient-system tensors for a basis and (optional) lift.
 
-    One sweep over mode pairs gives B and, for every lift sample G_k,
-    R[k, i, j] = (advect(w_i, w_j), G_k); one sweep per sample then
-    gives D, E and F.  Both sweeps share one (m, N) buffer of flattened
-    advections, so memory does not grow with the number of samples.
-    `nu` is needed exactly when the lift's forcing has not been
-    attached yet.
+    The sweep runs over blocks of 8 transported modes w_l.  Per block it
+    takes the derivative stacks of the block's modes once.  Per
+    transporting mode w_i it writes the block's advections
+    advect(w_i, w_l) into one (8, N) buffer and pairs that with every
+    mode and every lift sample G_k in one matrix product each: a block
+    of rows of B, and of R[k, i, j] = (advect(w_i, w_j), G_k).  Per
+    sample, the same block then gives advect(w_l, G_k) for D and
+    advect(G_k, w_l) for E.  Working memory beyond the basis is
+    block-sized: it grows with neither m*N nor the number of samples
+    times N.  `nu` is needed exactly when the lift's forcing has not
+    been attached yet.
     """
     m = len(basis.eigenvalues)
     lam = basis.eigenvalues.copy()
-    w2 = basis.grid.h**2
+    g = basis.grid
+    w2 = g.h**2
 
     fields, forcings = [], []
     if lift is not None:
@@ -178,41 +192,47 @@ def assemble_tensors(basis, lift, nu=None):
         fields = [lift.G_eps] if lift.steady else list(lift.G_eps)
         forcings = [lift.f_eps] if lift.steady else list(lift.f_eps)
 
-    flat = np.concatenate([basis.ustack.reshape(m, -1),
-                           basis.vstack.reshape(m, -1)], axis=1)
-    buf = np.empty_like(flat)
+    ustack, vstack = basis.ustack, basis.vstack
+    flat = np.concatenate([ustack.reshape(m, -1), vstack.reshape(m, -1)], axis=1)
+    n_ufaces = ustack[0].size
+    buf = np.empty((BLOCK, flat.shape[1]))
+    # face-shaped views of the buffer's rows, written by advect_into
+    bu = buf[:, :n_ufaces].reshape((BLOCK,) + g.shape_u())
+    bv = buf[:, n_ufaces:].reshape((BLOCK,) + g.shape_v())
+    n = len(fields)
     t1 = np.empty((m, m, m))
-    r = np.empty((len(fields), m, m))
+    r = np.empty((n, m, m))
+    s = np.empty((n, m, m))       # (advect(w_i, G_k), w_j)
+    half = np.empty((n, m, m))    # (advect(G_k, w_i), w_j)
     gmat = np.stack([_flat(gk) for gk in fields]) if fields else None
-    for i in range(m):
-        wi = basis.mode(i)
-        for l in range(m):
-            buf[l] = _flat(advect(wi, basis.mode(l)))
-        t1[i] = w2 * (buf @ flat.T)
-        if fields:
-            r[:, i, :] = w2 * (gmat @ buf.T)
+    for lo in range(0, m, BLOCK):
+        blk = slice(lo, min(lo + BLOCK, m))
+        k = blk.stop - lo
+        ub, vb = ustack[blk], vstack[blk]
+        grads = gradient_stencils(ub, vb, g)
+        for i in range(m):
+            advect_into(bu[:k], bv[:k], transport_stencils(ustack[i], vstack[i], g), grads, g)
+            t1[i, blk] = w2 * (buf[:k] @ flat.T)
+            if fields:
+                r[:, i, blk] = w2 * (gmat @ buf[:k].T)
+        trans = transport_stencils(ub, vb, g) if fields else None
+        for q, gk in enumerate(fields):
+            advect_into(bu[:k], bv[:k], trans, gradient_stencils(gk.u, gk.v, g), g)
+            s[q, blk] = w2 * (buf[:k] @ flat.T)
+            advect_into(bu[:k], bv[:k], transport_stencils(gk.u, gk.v, g), grads, g)
+            half[q, blk] = w2 * (buf[:k] @ flat.T)
     b = 0.5 * (t1 - t1.transpose(0, 2, 1))
 
     if not fields:
         return Tensors(B=b, D=np.zeros((m, m)), E=np.zeros((m, m)),
                        F=np.zeros(m), lam=lam)
 
-    d_list, e_list, f_list = [], [], []
-    for k, (gk, fk) in enumerate(zip(fields, forcings)):
-        for i in range(m):
-            buf[i] = _flat(advect(basis.mode(i), gk))
-        s = w2 * (buf @ flat.T)         # (advect(w_i, G), w_j)
-        d_list.append(0.5 * (s - r[k]))
-        for i in range(m):
-            buf[i] = _flat(advect(gk, basis.mode(i)))
-        half = w2 * (buf @ flat.T)      # (advect(G, w_i), w_j)
-        e_list.append(0.5 * (half - half.T))
-        f_list.append(w2 * (flat @ _flat(fk)))
-
+    d = 0.5 * (s - r)
+    e = 0.5 * (half - half.transpose(0, 2, 1))
+    f = np.stack([w2 * (flat @ _flat(fk)) for fk in forcings])
     if lift.steady:
-        return Tensors(B=b, D=d_list[0], E=e_list[0], F=f_list[0], lam=lam)
-    return Tensors(B=b, D=np.stack(d_list), E=np.stack(e_list),
-                   F=np.stack(f_list), lam=lam, times=np.asarray(lift.times))
+        return Tensors(B=b, D=d[0], E=e[0], F=f[0], lam=lam)
+    return Tensors(B=b, D=d, E=e, F=f, lam=lam, times=np.asarray(lift.times))
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ periodic one), so projector idempotence and div(Pu) = 0 hold to rounding.
 import os
 
 import numpy as np
-import scipy.fft
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -82,6 +81,8 @@ class LerayProjector:
         """
         vals = rhs.values if isinstance(rhs, ScalarField) else np.asarray(rhs)
         if self.grid.kind == SQUARE:
+            import scipy.fft  # only user; kept off the start-up path of every run
+
             coef = scipy.fft.dctn(vals, type=2, norm="ortho")
             coef[0, 0] = 0.0
             coef /= self._eigs

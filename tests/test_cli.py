@@ -3,6 +3,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -144,6 +146,17 @@ def test_code_version_matches_pyproject():
         found = re.search(r'^version = "([^"]+)"$', fh.read(), re.MULTILINE)
     assert found is not None
     assert found.group(1) == __version__
+
+
+def test_cli_import_does_not_load_scipy_fft():
+    # only the Leray projector needs scipy.fft; a run that never builds
+    # one should not pay for its import
+    src = os.path.dirname(os.path.dirname(os.path.abspath(main.__code__.co_filename)))
+    code = "import sys, reproflow.cli; print('scipy.fft' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_config_root_must_be_mapping(tmp_path):

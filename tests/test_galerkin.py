@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from reproflow import galerkin
-from reproflow.fields import Grid, divergence, inner_h1
+from reproflow.fields import Grid, advect, divergence, inner_h1, inner_l2
 from reproflow.galerkin import (
     BlowupDetected,
     CompatibilityError,
@@ -29,7 +29,12 @@ from reproflow.galerkin import (
     step,
     validate_config,
 )
-from reproflow.lift import BoundaryData, boundary_profile, build_lift_unsteady
+from reproflow.lift import (
+    BoundaryData,
+    boundary_profile,
+    build_lift,
+    build_lift_unsteady,
+)
 from reproflow.stokes import compute_eigenbasis
 
 from .conftest import taylor_green
@@ -85,6 +90,61 @@ def test_energy_identity_of_rhs(tensors32):
     assert worst <= 1e-12
 
 
+def _reference_tensors(basis, lift):
+    """B, D, E and F written out pair by pair with `advect` and `inner_l2`."""
+    m = len(basis.eigenvalues)
+    modes = [basis.mode(i) for i in range(m)]
+    t1 = np.array([[[inner_l2(advect(wi, wl), wj) for wj in modes]
+                    for wl in modes] for wi in modes])
+    b = 0.5 * (t1 - t1.transpose(0, 2, 1))
+    if lift is None:
+        return b, None, None, None
+    fields = [lift.G_eps] if lift.steady else lift.G_eps
+    forcings = [lift.f_eps] if lift.steady else lift.f_eps
+    d, e, f = [], [], []
+    for gk, fk in zip(fields, forcings):
+        d.append([[0.5 * (inner_l2(advect(wi, gk), wj) - inner_l2(advect(wi, wj), gk))
+                   for wj in modes] for wi in modes])
+        e.append([[0.5 * (inner_l2(advect(gk, wi), wj) - inner_l2(advect(gk, wj), wi))
+                   for wj in modes] for wi in modes])
+        f.append([inner_l2(fk, wj) for wj in modes])
+    d, e, f = np.array(d), np.array(e), np.array(f)
+    if lift.steady:
+        return b, d[0], e[0], f[0]
+    return b, d, e, f
+
+
+@pytest.fixture(scope="module")
+def square16_13():
+    # m = 13 is not a multiple of the sweep's block of 8 modes, so the
+    # last block is partial
+    grid = Grid("square", 16)
+    return grid, compute_eigenbasis(grid, 13)
+
+
+@pytest.mark.parametrize("case", ["square_bump", "torus_no_lift", "unsteady_3"])
+def test_blocked_assembly_matches_pairwise_advect(request, case, square16_13):
+    if case == "torus_no_lift":
+        basis, lift = request.getfixturevalue("basis_t64"), None
+    else:
+        grid, basis = square16_13
+        bump = boundary_profile(grid, "bottom_bump", amplitude=1e-2)
+        base = bump.walls["bottom"]
+        if case == "square_bump":
+            lift = build_lift(bump, 0.4, grid)
+        else:
+            # three samples that differ in amplitude and shape
+            g = BoundaryData(grid, walls_fn=lambda t: {"bottom": base * (1.0 + 20.0 * t),
+                                                       "top": base * 20.0 * t})
+            lift = build_lift_unsteady(g, 0.4, grid, [0.0, 0.05, 0.1])
+    got = assemble_tensors(basis, lift, nu=1.0)
+    want = _reference_tensors(basis, lift)
+    devs = {name: np.linalg.norm(getattr(got, name) - ref) / np.linalg.norm(ref)
+            for name, ref in zip("BDEF", want) if ref is not None}
+    print(case, ", ".join(f"{name} {dev:.3e}" for name, dev in devs.items()))
+    assert all(dev <= 1e-12 for dev in devs.values())   # NaN fails too
+
+
 def _reference_rhs(c, tensors, nu, k=0):
     """The coefficient derivative written out term by term with einsum."""
     if tensors.steady:
@@ -97,7 +157,7 @@ def _reference_rhs(c, tensors, nu, k=0):
 
 @pytest.fixture(scope="module")
 def sliced_tensors(tensors32):
-    # how criterion 8 and tools/oracle_mconv.py truncate a basis
+    # how criterion 8 truncates a basis
     m = 6
     t = tensors32
     return Tensors(B=t.B[:m, :m, :m], D=t.D[:m, :m], E=t.E[:m, :m], F=t.F[:m],
