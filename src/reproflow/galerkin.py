@@ -248,11 +248,17 @@ class GalerkinState:
         return GalerkinState(self.t, self.c.copy())
 
 
-def project_initial(v0, lift, basis, trace_tol=0.05):
+def vnorm(c, lam):
+    """V-norm sqrt(sum_j lam_j c_j^2) of a coefficient state (row-wise for a stack)."""
+    return np.sqrt((c**2) @ lam)
+
+
+def project_initial(v0, lift, basis):
     """Project v0 minus the lift onto the basis; returns (state, V-norm error).
 
     The initial velocity must be discretely divergence-free with zero
-    normal trace, and its tangential trace must match the wall data.
+    normal trace, and its tangential trace must match the wall data to
+    5% of the data's peak (or of 1, whichever is larger).
     """
     grid = basis.grid
     dv = np.abs(divergence(v0).values).max()
@@ -271,7 +277,7 @@ def project_initial(v0, lift, basis, trace_tol=0.05):
             want = target[name] if target is not None else 0.0
             worst = max(worst, np.abs(arr - want).max())
         scale = max(1.0, lift.boundary.max_abs()) if target is not None else 1.0
-        if worst > trace_tol * scale:
+        if worst > 0.05 * scale:
             raise CompatibilityError(
                 f"initial tangential trace differs from wall data by {worst:.3e}")
 

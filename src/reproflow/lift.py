@@ -107,14 +107,16 @@ class BoundaryData:
         return max(np.abs(a).max() for a in w.values())
 
 
-def bump_profile(s, center=0.5, halfwidth=0.3):
+def bump_profile(s):
     """Compactly supported polynomial bump (1 - z^2)^4, peak value 1.
+
+    z = (s - 0.5) / 0.3, so the support is s in (0.2, 0.8).
 
     C^3 across the support edges with moderate derivative growth — sharp
     mollifier-style edges cost an order of magnitude in wall-trace
     accuracy at practical resolutions for no benefit here.
     """
-    z = (np.asarray(s, dtype=float) - center) / halfwidth
+    z = (np.asarray(s, dtype=float) - 0.5) / 0.3
     out = np.zeros_like(z)
     inside = np.abs(z) < 1.0
     out[inside] = (1.0 - z[inside] ** 2) ** 4
@@ -174,22 +176,6 @@ def load_boundary_table(grid, path):
         "left": np.interp(3.0 + (1.0 - x), s_ext, v_ext),
     }
     return BoundaryData(grid, walls=walls)
-
-
-def check_initial_compatibility(g, v0, tol=1e-8):
-    """Require that time-dependent wall data matches v0's trace at t=0."""
-    from .fields import tangential_trace
-
-    snap = g.at(0.0)
-    trace = tangential_trace(v0)
-    worst = 0.0
-    for name in WALLS:
-        worst = max(worst, np.abs(trace[name] - snap.walls[name]).max())
-    if worst > tol:
-        raise InvalidBoundaryData(
-            f"initial wall data differs from the initial trace by {worst:.3e} "
-            f"(tolerance {tol:.1e})")
-    return worst
 
 
 # ---------------------------------------------------------------------------

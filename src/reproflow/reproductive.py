@@ -20,7 +20,7 @@ import warnings
 
 import numpy as np
 
-from .galerkin import GalerkinState, assemble_tensors, solve
+from .galerkin import GalerkinState, assemble_tensors, solve, vnorm
 from .lift import compute_forcing
 from .fields import inner_l2
 from .verification import RegimeViolation
@@ -138,10 +138,6 @@ def validate_budget(boundary, lift, nu, budget=None):
     return budget
 
 
-def _vnorm(c, lam):
-    return float(np.sqrt(np.maximum((c**2) @ lam, 0.0)))
-
-
 def map_L(u0, config, lift, basis, tensors=None, m_radius=None):
     """The period map: coefficient state at t = T of the solve from u0.
 
@@ -198,15 +194,15 @@ def measure_contraction(config, lift, basis, pairs=5, seed=0, budget=None,
         for _ in range(2):
             c = rng.standard_normal(m)
             radius = (m_radius if m_radius is not None else 1.0) * rng.uniform(0.2, 1.0)
-            c *= radius / _vnorm(c, lam)
+            c *= radius / vnorm(c, lam)
             pair.append(GalerkinState(0.0, c))
         u0, y0 = pair
-        d0 = _vnorm(u0.c - y0.c, lam)
+        d0 = vnorm(u0.c - y0.c, lam)
         if d0 == 0.0:
             continue  # degenerate draw; ratio 0 excluded from the max
         lu = map_L(u0, config, lift, basis, tensors=tensors, m_radius=m_radius)
         ly = map_L(y0, config, lift, basis, tensors=tensors, m_radius=m_radius)
-        ratios.append(_vnorm(lu.c - ly.c, lam) / d0)
+        ratios.append(vnorm(lu.c - ly.c, lam) / d0)
     return ContractionReport(ratios=ratios, max_ratio=max(ratios) if ratios else 0.0,
                              envelope=math.exp(-config.nu * config.T),
                              pairs=pairs, seed=seed)
@@ -240,7 +236,7 @@ def find_reproductive(config, lift, basis, u0_init=None, tol=1e-10,
     cap = max_iter
     for k in range(max_iter if max_iter is not None else 10_000):
         image = map_L(u, config, lift, basis, tensors=tensors, m_radius=m_radius)
-        r = _vnorm(image.c - u.c, lam)
+        r = vnorm(image.c - u.c, lam)
         residuals.append(r)
         if r <= tol:
             closure = float(np.linalg.norm(image.c - u.c))

@@ -194,10 +194,9 @@ class StokesBasis:
     def orthonormality_error(self):
         return float(np.abs(self.gram() - np.eye(self.m)).max())
 
-    def eigen_residuals(self, projector=None):
+    def eigen_residuals(self):
         """||A w_j - lambda_j w_j|| / lambda_j for every mode."""
-        if projector is None and self.grid.kind == SQUARE:
-            projector = LerayProjector(self.grid)
+        projector = LerayProjector(self.grid) if self.grid.kind == SQUARE else None
         out = np.empty(self.m)
         for j in range(self.m):
             w = self.mode(j)

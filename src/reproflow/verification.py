@@ -8,8 +8,9 @@ trajectories) and checks a discrete inequality:
 * H1 ball:   sup_t ||u(t)|| against a caller-supplied radius,
 * stability: decay of the difference of two runs against the exp(-nu t)
              envelope,
-* uniqueness probe: determinism of the full pipeline, plus conditioning
-             of the final state under tiny perturbations of the datum.
+* tensors:   each coefficient form the solver steps (lambda, B, D, E, F)
+             against the field form it stands for, recomputed with the
+             grid operators from two fixed coefficient states.
 
 Monitors are pure over their trajectory inputs: same trajectory, same
 report.  When a smallness precondition fails the monitor refuses to
@@ -21,9 +22,12 @@ import dataclasses
 
 import numpy as np
 
-from .galerkin import GalerkinState, assemble_tensors, solve
+from .fields import inner_l2, trilinear
+from .galerkin import GalerkinState, assemble_tensors, solve, vnorm
+from .stokes import apply_stokes
 
 ENERGY_TOL = 1e-8
+AUDIT_TOL = 1e-12
 
 
 class RegimeViolation(RuntimeError):
@@ -105,26 +109,24 @@ def check_energy_inequality(traj, nu, c_omega, beta=0.0, kappa=0.0, tol=ENERGY_T
                             regime={"beta": beta, "beta_max": 0.25 * nu, "kappa": kappa})
 
 
-def calibrate_slack(config, u0, lift, basis, nu=None, refine=2):
-    """Slack rate kappa for the energy monitor from a dt-refinement pair.
+def calibrate_slack(config, u0, lift, basis):
+    """Slack rate kappa for the energy monitor from a dt-halving pair.
 
-    Runs the configured solve at dt and dt/refine, takes the worst
-    signed violation `check_energy_inequality` reports for each, and
-    attributes the difference to the O(dt) discretization of the time
-    derivative:
+    Runs the configured solve at dt and dt/2, takes the worst signed
+    violation `check_energy_inequality` reports for each, and attributes
+    the difference to the O(dt) discretization of the time derivative:
 
-        kappa = max(0, (viol(dt) - viol(dt/r)) / (dt - dt/r)).
+        kappa = max(0, (viol(dt) - viol(dt/2)) / (dt - dt/2)).
     """
-    nu = config.nu if nu is None else nu
     tensors = assemble_tensors(basis, lift, nu=config.nu)
     c_omega = poincare_constant(basis)
 
     def worst(cfg):
         traj = solve(cfg, GalerkinState(0.0, u0.c.copy()), lift, basis,
                      tensors=tensors)
-        return check_energy_inequality(traj, nu, c_omega).max_violation
+        return check_energy_inequality(traj, config.nu, c_omega).max_violation
 
-    fine = dataclasses.replace(config, dt=config.dt / refine)
+    fine = dataclasses.replace(config, dt=config.dt / 2)
     v_coarse = worst(config)
     v_fine = worst(fine)
     kappa = (v_coarse - v_fine) / (config.dt - fine.dt)
@@ -145,23 +147,55 @@ def check_h1_bound(traj, m_radius):
                                     "m_radius": float(m_radius)})
 
 
-def rate_identity_residual(traj, where="midpoint"):
-    """Residual of the discrete rate identity for ||u||^2.
+def check_tensors(tensors, basis, lift):
+    """Audit the coefficient tensors against the grid operators they stand for.
 
-    With the midpoint average the identity
+    Draws two coefficient states c and d from a fixed seed, builds
+    u_c = sum_j c_j w_j and u_d, and compares each coefficient form the
+    solver steps with its field form:
 
-        (||u_{n+1}||^2 - ||u_n||^2)/dt = 2 (dc/dt, lam * cbar)
+        sum_j lam_j c_j^2            vs  (A u_c, u_c),  A = apply_stokes
+        sum B[i, l, j] c_i c_l d_j   vs  b(u_c, u_c, u_d)
+        c . D d                      vs  b(u_c, G, u_d)
+        c . E d                      vs  b(G, u_c, u_d)
+        c . F                        vs  (u_c, f)
 
-    is exact algebra (it is the difference of squares), so the residual
-    is rounding only; with left-endpoint evaluation it is O(dt).
-    Returns the max absolute residual over the steps.
+    D, E and F are skipped without a lift.  B is read in the flat layout
+    the step kernel uses.  Each deviation is divided by the larger of the
+    field value and the coefficient form taken in absolute values
+    (|c|^T |M| |d|), so a draw whose term happens to be near 0 cannot
+    fail and a zeroed tensor reads 1; two exact zeros read 0.  B drops
+    out of the energy balance by skew symmetry, so the energy monitor
+    cannot see a defect there; this audit does.
     """
-    lam, c, dt = traj.lam, traj.coeffs, traj.dt
-    dsq = (c[1:] ** 2 - c[:-1] ** 2) @ lam / dt
-    dc = (c[1:] - c[:-1]) / dt
-    at = 0.5 * (c[1:] + c[:-1]) if where == "midpoint" else c[:-1]
-    pair = 2.0 * ((dc * at) @ lam)
-    return float(np.abs(dsq - pair).max())
+    if not tensors.steady:
+        raise NotImplementedError("tensor audit expects steady tensors")
+    m = len(tensors.lam)
+    rng = np.random.default_rng(0)
+    c, d = rng.standard_normal(m), rng.standard_normal(m)
+    ac, ad = np.abs(c), np.abs(d)
+    uc, ud = basis.combine(c), basis.combine(d)
+    b_flat = tensors.B_flat
+    terms = [
+        ("lam", (c * tensors.lam) @ c, (ac * np.abs(tensors.lam)) @ ac,
+         inner_l2(apply_stokes(uc), uc)),
+        ("B", c @ (c @ b_flat).reshape(m, m) @ d,
+         ac @ (ac @ np.abs(b_flat)).reshape(m, m) @ ad, trilinear(uc, uc, ud)),
+    ]
+    if lift is not None:
+        g = lift.G_eps
+        terms += [
+            ("D", c @ tensors.D @ d, ac @ np.abs(tensors.D) @ ad, trilinear(uc, g, ud)),
+            ("E", c @ tensors.E @ d, ac @ np.abs(tensors.E) @ ad, trilinear(g, uc, ud)),
+            ("F", c @ tensors.F, ac @ np.abs(tensors.F), inner_l2(uc, lift.f_eps)),
+        ]
+    devs = []
+    for _, coef, size, field in terms:
+        scale = max(size, abs(field))
+        devs.append(abs(coef - field) / scale if scale > 0 else 0.0)
+    devs = np.array(devs)
+    return InequalityReport("tensor-audit", devs, np.zeros_like(devs), AUDIT_TOL,
+                            regime={"terms": " ".join(t[0] for t in terms)})
 
 
 def stability_experiment(config, v0, w0, lift, basis, tensors=None, m_radius=None):
@@ -185,7 +219,7 @@ def stability_experiment(config, v0, w0, lift, basis, tensors=None, m_radius=Non
                 f"sup ||u|| = {sup:.3e} leaves the smallness ball {m_radius:.3e}")
 
     z = ta.coeffs - tb.coeffs
-    z_norms = np.sqrt((z**2) @ ta.lam)
+    z_norms = vnorm(z, ta.lam)
     envelope = z_norms[0] * np.exp(-config.nu * ta.times)
     if z_norms[0] == 0.0:
         ratios = np.zeros_like(z_norms)
@@ -194,14 +228,3 @@ def stability_experiment(config, v0, w0, lift, basis, tensors=None, m_radius=Non
     mono = bool(np.all(np.diff(z_norms) <= 1e-15 * max(z_norms[0], 1.0)))
     return StabilityReport(times=ta.times, z_norms=z_norms, envelope=envelope,
                            max_ratio=float(ratios.max()), monotone=mono)
-
-
-def uniqueness_probe(config, u0, lift, basis):
-    """Determinism probe: two fresh identical solves, bit-identical output."""
-    runs = []
-    for _ in range(2):
-        tensors = assemble_tensors(basis, lift, nu=config.nu)
-        traj = solve(config, GalerkinState(0.0, u0.c.copy()), lift, basis,
-                     tensors=tensors)
-        runs.append(traj.coeffs)
-    return bool(np.array_equal(runs[0], runs[1]))

@@ -1,5 +1,6 @@
 """The run front end: config validation, artifacts, manifests, exit codes."""
 
+import dataclasses
 import json
 import os
 import re
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 import yaml
 
-from reproflow import __version__
+from reproflow import __version__, cli
 from reproflow.cli import main, parse_config, ConfigFileError
 
 
@@ -255,7 +256,30 @@ def test_verify_run_passes(tmp_path, capsys):
     assert rc == 0
     man = read_manifest(out)
     assert man["summary"]["energy_passed"] and man["summary"]["h1_passed"]
+    assert man["summary"]["tensor_audit_passed"]
+    assert man["summary"]["tensor_audit_max_deviation"] <= 1e-12
     assert os.path.exists(os.path.join(out, "violations.csv"))
+
+
+def test_verify_fails_on_tenfold_advection_tensor(tmp_path, capsys, monkeypatch):
+    # B is skew in its last two indices, so B x 10 leaves the energy
+    # balance as it was; only the tensor audit can fail this run
+    real = cli.assemble_tensors
+
+    def tenfold_b(*args, **kwargs):
+        tensors = real(*args, **kwargs)
+        return dataclasses.replace(tensors, B=10.0 * tensors.B)
+
+    monkeypatch.setattr(cli, "assemble_tensors", tenfold_b)
+    out = str(tmp_path / "verify_out")
+    path = write_config(tmp_path, experiment="verify", out=out,
+                        solver={"nx": 32, "m": 8, "T": 0.1})
+    rc = main(["verify", "--config", path])
+    capsys.readouterr()
+    assert rc == 1
+    man = read_manifest(out)
+    assert man["summary"]["energy_passed"] and man["summary"]["h1_passed"]
+    assert not man["summary"]["tensor_audit_passed"]
 
 
 def test_stability_run_passes(tmp_path, capsys):

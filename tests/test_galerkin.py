@@ -320,6 +320,16 @@ def test_project_initial_rejects_bad_data(square32, basis32, lift32):
         project_initial(junk, lift32, basis32)
 
 
+def test_project_initial_rejects_wrong_tangential_trace(square32, basis32):
+    # divergence-free with zero normal trace, so only the trace check can
+    # refuse it: the modes' tangential trace is about 0, the data's peak 1
+    lift = build_lift(boundary_profile(square32, "bottom_bump", amplitude=1.0),
+                      0.4, square32)
+    v0 = basis32.combine(1e-3 * np.random.default_rng(3).standard_normal(8))
+    with pytest.raises(CompatibilityError, match="tangential trace"):
+        project_initial(v0, lift, basis32)
+
+
 def test_taylor_green_projection_is_tight(torus64, basis_t64):
     v0 = taylor_green(torus64)
     state, err = project_initial(v0, None, basis_t64)

@@ -10,21 +10,16 @@ headroom.
 
 import sys
 
-import numpy as np
-
 sys.path.insert(0, "src")
 
 from reproflow.fields import Grid  # noqa: E402
-from reproflow.lift import (  # noqa: E402
-    boundary_profile, build_lift, compute_beta, verify_smallness,
-)
+from reproflow.lift import boundary_profile, build_lift, verify_smallness  # noqa: E402
 
 for nx in (64, 256):
     grid = Grid("square", nx)
     bdata = boundary_profile(grid, "bottom_bump", amplitude=1.0)
     for eps in (0.4, 0.2):
         lift = build_lift(bdata, eps, grid)
-        compute_beta(lift)
         ratio = verify_smallness(lift, samples=100, seed=0)
         c = ratio / lift.beta if lift.beta > 0 else 0.0
         print(f"nx {nx:4d} eps {eps:4.2f}: ratio {ratio:.8e}  "
