@@ -51,31 +51,21 @@ def _as_wall_array(grid, name, values):
 
 
 class BoundaryData:
-    """Tangential wall data sampled at the boundary nodes of a square grid.
+    """Steady tangential wall data at the boundary nodes of a square grid.
 
-    Each wall carries ``nx + 1`` samples of the counterclockwise
-    tangential component, indexed by the grid coordinate running along
-    that wall (x for bottom/top, y for left/right, ascending).  Only the
-    tangential component is representable, so the normal trace is zero
-    by construction.  Samples within ``CORNER_MARGIN_CELLS`` cells of a
-    corner must vanish.
-
-    Time-dependent data is supplied as ``walls_fn(t) -> dict`` and
-    sampled on demand; ``at(t)`` returns the steady snapshot.
+    Each wall carries one set of ``nx + 1`` samples of the
+    counterclockwise tangential component, indexed by the grid coordinate
+    running along that wall (x for bottom/top, y for left/right,
+    ascending).  Only the tangential component is representable, so the
+    normal trace is zero by construction.  Samples within
+    ``CORNER_MARGIN_CELLS`` cells of a corner must vanish.
     """
 
-    def __init__(self, grid, walls=None, walls_fn=None):
+    def __init__(self, grid, walls):
         if grid.kind != SQUARE:
             raise InvalidBoundaryData("boundary data requires a square grid")
-        if (walls is None) == (walls_fn is None):
-            raise InvalidBoundaryData("supply exactly one of walls / walls_fn")
         self.grid = grid
-        self.time_dependent = walls_fn is not None
-        self._walls_fn = walls_fn
-        if walls is not None:
-            self.walls = self._validate(walls)
-        else:
-            self.walls = None
+        self.walls = self._validate(walls)
 
     def _validate(self, walls):
         unknown = set(walls) - set(WALLS)
@@ -95,16 +85,6 @@ class BoundaryData:
                     f"corner (margin is {CORNER_MARGIN_CELLS}) but nonzero")
             out[name] = a
         return out
-
-    def at(self, t):
-        """Steady snapshot at time t (identity for steady data)."""
-        if not self.time_dependent:
-            return self
-        return BoundaryData(self.grid, walls=self._walls_fn(t))
-
-    def max_abs(self):
-        w = self.walls if self.walls is not None else self.at(0.0).walls
-        return max(np.abs(a).max() for a in w.values())
 
 
 def bump_profile(s):
@@ -213,7 +193,6 @@ def build_stream_function(g, grid):
     """
     if grid.kind != SQUARE:
         raise InvalidBoundaryData("stream function lift requires a square grid")
-    snap = g.at(0.0) if g.time_dependent else g
     n, h = grid.nx, grid.h
     nn = n + 1
 
@@ -240,10 +219,10 @@ def build_stream_function(g, grid):
     # eliminated-ghost data terms: the inward slope equals +(g.tau) on
     # every wall, contributing -(4/h) g at the wall rows of block 1
     bc = np.zeros((nn, nn))
-    bc[:, 0] += snap.walls["bottom"]
-    bc[-1, :] += snap.walls["right"]
-    bc[:, -1] += snap.walls["top"]
-    bc[0, :] += snap.walls["left"]
+    bc[:, 0] += g.walls["bottom"]
+    bc[-1, :] += g.walls["right"]
+    bc[:, -1] += g.walls["top"]
+    bc[0, :] += g.walls["left"]
     rhs = np.concatenate([-(4.0 / h) * bc.ravel(), np.zeros(interior.sum())])
 
     try:
@@ -302,31 +281,18 @@ def cutoff(epsilon, grid):
 
 @dataclasses.dataclass
 class LiftData:
-    """Lift of wall data: stream function, cutoff, field, band measure.
+    """Lift of steady wall data: stream function, field G, band measure.
 
-    For steady data `G_eps` is a single field and `dGdt` is None; for
-    time-dependent data `G_eps`/`dGdt` are lists aligned with `times`.
     `f_eps` is attached by compute_forcing (it needs the viscosity).
     """
 
     grid: Grid
-    epsilon: float
     delta: float
     psi: object
-    theta: object
     G_eps: object
     beta: float
-    times: object = None
-    dGdt: object = None
     f_eps: object = None
     boundary: object = None
-
-    @property
-    def steady(self):
-        return self.times is None
-
-    def field_at(self, k=None):
-        return self.G_eps if self.steady else self.G_eps[k]
 
 
 def _masked_rot(psi, theta):
@@ -341,50 +307,10 @@ def build_lift(g, epsilon, grid):
     its divergence vanishes to rounding and it is supported where the
     wall distance is below 2*delta(eps).
     """
-    theta = cutoff(epsilon, grid)
-    if not g.time_dependent:
-        psi = build_stream_function(g, grid)
-        field = _masked_rot(psi, theta)
-        lift = LiftData(grid=grid, epsilon=epsilon, delta=delta_of(epsilon),
-                        psi=psi, theta=theta, G_eps=field, beta=0.0, boundary=g)
-        lift.beta = compute_beta(lift)
-        return lift
-    raise InvalidBoundaryData(
-        "time-dependent data needs explicit time samples; use build_lift_unsteady")
-
-
-def build_lift_unsteady(g, epsilon, grid, times):
-    """Per-sample lift of time-dependent wall data.
-
-    The time derivative of the lift uses second-order centered
-    differences on the sample times (one-sided at the endpoints).
-    """
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size < 3:
-        raise InvalidBoundaryData("need at least 3 time samples")
-    theta = cutoff(epsilon, grid)
-    psis, fields = [], []
-    for t in times:
-        psi = build_stream_function(g.at(t), grid)
-        psis.append(psi)
-        fields.append(_masked_rot(psi, theta))
-
-    dt = float(times[1] - times[0])
-    if not np.allclose(np.diff(times), dt):
-        raise InvalidBoundaryData("time samples must be uniformly spaced")
-    dgdt = []
-    for k in range(times.size):
-        if k == 0:
-            w = -3.0 * fields[0] + 4.0 * fields[1] - fields[2]
-        elif k == times.size - 1:
-            w = 3.0 * fields[-1] - 4.0 * fields[-2] + fields[-3]
-        else:
-            w = fields[k + 1] - fields[k - 1]
-        dgdt.append(w * (1.0 / (2.0 * dt)))
-
-    lift = LiftData(grid=grid, epsilon=epsilon, delta=delta_of(epsilon),
-                    psi=psis, theta=theta, G_eps=fields, beta=0.0,
-                    times=times, dGdt=dgdt, boundary=g)
+    psi = build_stream_function(g, grid)
+    field = _masked_rot(psi, cutoff(epsilon, grid))
+    lift = LiftData(grid=grid, delta=delta_of(epsilon), psi=psi, G_eps=field,
+                    beta=0.0, boundary=g)
     lift.beta = compute_beta(lift)
     return lift
 
@@ -429,28 +355,15 @@ def compute_beta(lift):
     grid, delta = lift.grid, lift.delta
 
     if 2.0 * delta < 0.5 * grid.h:
-        def one_wall(snap):
-            tot = 0.0
-            for name in WALLS:
-                a3 = np.abs(snap.walls[name]) ** 3
-                tot += grid.h * (a3.sum() - 0.5 * (a3[0] + a3[-1]))
-            return float((2.0 * delta * tot) ** (1.0 / 3.0))
+        tot = 0.0
+        for name in WALLS:
+            a3 = np.abs(lift.boundary.walls[name]) ** 3
+            tot += grid.h * (a3.sum() - 0.5 * (a3[0] + a3[-1]))
+        return float((2.0 * delta * tot) ** (1.0 / 3.0))
 
-        g = lift.boundary
-        if lift.steady:
-            return one_wall(g.at(0.0))
-        return max(one_wall(g.at(t)) for t in lift.times)
-
-    areas = _band_overlap_areas(grid, delta)
-
-    def one(psi):
-        dpdx, dpdy = _grad_psi_at_centers(psi)
-        mag3 = (dpdx**2 + dpdy**2) ** 1.5
-        return float(np.sum(mag3 * areas) ** (1.0 / 3.0))
-
-    if lift.steady:
-        return one(lift.psi)
-    return max(one(p) for p in lift.psi)
+    dpdx, dpdy = _grad_psi_at_centers(lift.psi)
+    mag3 = (dpdx**2 + dpdy**2) ** 1.5
+    return float(np.sum(mag3 * _band_overlap_areas(grid, delta)) ** (1.0 / 3.0))
 
 
 def verify_smallness(lift, samples, seed=0):
@@ -460,8 +373,6 @@ def verify_smallness(lift, samples, seed=0):
     outermost node rings vanish, so they are exactly divergence-free and
     zero on every face row the trace extrapolation sees.
     """
-    if not lift.steady:
-        raise NotImplementedError("smallness sweep expects steady wall data")
     grid = lift.grid
     rng = np.random.default_rng(seed)
     n = grid.nx
@@ -477,19 +388,12 @@ def verify_smallness(lift, samples, seed=0):
 
 
 def compute_forcing(lift, nu):
-    """Forcing induced by the lift: -dG/dt + nu lap G - (G.grad)G.
+    """Forcing induced by the lift: nu lap G - (G.grad)G.
 
-    The time-derivative term is identically absent for steady data.
-    The result is cached on the lift.
+    The wall data is steady, so G has no time derivative.  The one
+    forcing field is cached on the lift.
     """
-    def steady_part(field):
-        lap = laplacian(field, bc="extrapolate")
-        adv = advect(field, field)
-        return VectorField(lift.grid, nu * lap.u - adv.u, nu * lap.v - adv.v)
-
-    if lift.steady:
-        f = steady_part(lift.G_eps)
-    else:
-        f = [steady_part(gk) - dg for gk, dg in zip(lift.G_eps, lift.dGdt)]
-    lift.f_eps = f
-    return f
+    lap = laplacian(lift.G_eps, bc="extrapolate")
+    adv = advect(lift.G_eps, lift.G_eps)
+    lift.f_eps = VectorField(lift.grid, nu * lap.u - adv.u, nu * lap.v - adv.v)
+    return lift.f_eps

@@ -110,11 +110,10 @@ def boundary_norm_proxy(boundary):
     Only the role as a smallness dial matters; any fixed equivalent
     norm would do.
     """
-    walls = boundary.at(0.0).walls if boundary.walls is None else boundary.walls
     h = boundary.grid.h
     sq = 0.0
     dsq = 0.0
-    for arr in walls.values():
+    for arr in boundary.walls.values():
         sq += h * np.trapezoid(arr**2)
         dg = np.gradient(arr, h)
         dsq += h * np.trapezoid(dg**2)

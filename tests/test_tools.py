@@ -1,22 +1,29 @@
-"""The scripts under tools/ still fit the library they import from.
+"""The scripts under tools/ and the benchmark under bench/ still fit the library.
 
-The scripts are not run (some take minutes); each is parsed, and every
-``from reproflow.<mod> import <name>`` must resolve, and every keyword
-argument passed to an imported function must be one it accepts.
+The scripts are not run (some take minutes); each is parsed, every name
+it imports from reproflow must resolve, and every keyword argument
+passed to an imported function must be one it accepts.  The benchmark
+is read the same way: the names `bench/workload.py` reaches through
+``from reproflow import (...)`` and the (module, attribute) pairs the
+tracer in `bench/spans.py` patches must exist, so that a library rename
+breaks this suite and not only the benchmark.
 """
 
 import ast
 import importlib
 import inspect
 import pathlib
+import types
 
 import pytest
 
-TOOLS = sorted((pathlib.Path(__file__).resolve().parent.parent / "tools").glob("*.py"))
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+TOOLS = sorted((ROOT / "tools").glob("*.py"))
+BENCH = ROOT / "bench"
 
 
 def _library_imports(tree):
-    """{local name: (module, name)} for every import from reproflow.*."""
+    """{local name: (module, name)} for every import from reproflow or reproflow.*."""
     out = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("reproflow"):
@@ -25,24 +32,69 @@ def _library_imports(tree):
     return out
 
 
-@pytest.mark.parametrize("script", TOOLS, ids=lambda p: p.name)
-def test_tool_imports_resolve(script):
-    tree = ast.parse(script.read_text(), filename=str(script))
-    imports = _library_imports(tree)
+def _resolve(label, imports):
+    """{local name: object}; a name that is a submodule is imported as one."""
     resolved = {}
     for local, (module, name) in imports.items():
         mod = importlib.import_module(module)
-        assert hasattr(mod, name), f"{script.name}: {module} has no {name}"
+        if not hasattr(mod, name):
+            try:
+                importlib.import_module(f"{module}.{name}")
+            except ModuleNotFoundError:
+                pass
+        assert hasattr(mod, name), f"{label}: {module} has no {name}"
         resolved[local] = getattr(mod, name)
+    return resolved
 
+
+def _check_library_calls(label, tree, resolved):
+    """Every `mod.name` on an imported module exists; every keyword is accepted."""
     for node in ast.walk(tree):
-        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id in resolved and callable(resolved[node.func.id])):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and isinstance(resolved.get(node.value.id), types.ModuleType)):
+            assert hasattr(resolved[node.value.id], node.attr), (
+                f"{label}:{node.lineno}: {node.value.id} has no {node.attr}")
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
             continue
-        params = inspect.signature(resolved[node.func.id]).parameters
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in resolved:
+            name, target = func.id, resolved[func.id]
+        elif (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+              and isinstance(resolved.get(func.value.id), types.ModuleType)):
+            name, target = f"{func.value.id}.{func.attr}", getattr(resolved[func.value.id],
+                                                                   func.attr)
+        else:
+            continue
+        if not callable(target):
+            continue
+        params = inspect.signature(target).parameters
         if any(p.kind is p.VAR_KEYWORD for p in params.values()):
             continue
         for kw in node.keywords:
             assert kw.arg is None or kw.arg in params, (
-                f"{script.name}:{node.lineno}: {node.func.id}() has no "
-                f"parameter {kw.arg!r}")
+                f"{label}:{node.lineno}: {name}() has no parameter {kw.arg!r}")
+
+
+@pytest.mark.parametrize("script", TOOLS, ids=lambda p: p.name)
+def test_tool_imports_resolve(script):
+    tree = ast.parse(script.read_text(), filename=str(script))
+    _check_library_calls(script.name, tree, _resolve(script.name, _library_imports(tree)))
+
+
+def test_bench_uses_existing_library_names():
+    path = BENCH / "workload.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imports = _library_imports(tree)
+    assert {"galerkin", "lift", "stokes"} <= set(imports), "workload.py imports moved"
+    _check_library_calls(path.name, tree, _resolve(path.name, imports))
+
+    path = BENCH / "spans.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    targets = next(ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and any(getattr(t, "id", None) == "TARGETS" for t in node.targets))
+    assert targets, "spans.TARGETS is empty"
+    for module, attr, _ in targets:
+        assert hasattr(importlib.import_module(module), attr), (
+            f"spans.TARGETS: {module} has no {attr}")

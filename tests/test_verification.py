@@ -185,9 +185,3 @@ def test_tensor_audit(case, basis48, lift48, tensors48, basis_t64):
         assert report.max_violation > 1e6 * AUDIT_TOL
     else:
         assert report.passed
-
-
-def test_tensor_audit_refuses_unsteady_tensors(basis32, lift32, tensors32):
-    unsteady = dataclasses.replace(tensors32, times=np.zeros(3))
-    with pytest.raises(NotImplementedError):
-        check_tensors(unsteady, basis32, lift32)
