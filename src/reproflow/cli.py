@@ -61,7 +61,7 @@ from .reproductive import (
     validate_budget,
 )
 from .snapshots import save_scalar, save_vector
-from .stokes import EigensolverError, _cache_path, compute_eigenbasis
+from .stokes import EigensolverError, _cache_path, check_mode_count, compute_eigenbasis
 from .verification import (
     RegimeViolation,
     check_energy_inequality,
@@ -222,6 +222,10 @@ def parse_config(path, out_override=None, seed_override=None):
         solver = validate_config(SolverConfig(**out["solver"]))
     except ConfigError as exc:
         raise ConfigFileError(f"solver: {exc}")
+    try:
+        check_mode_count(solver.grid_kind, solver.nx, solver.m)
+    except ValueError as exc:
+        raise ConfigFileError(f"solver.m: {exc}")
 
     b = out["boundary"]
     if b["profile"] is not None and b["table"] is not None:
@@ -236,11 +240,12 @@ def parse_config(path, out_override=None, seed_override=None):
         raise ConfigFileError(
             f"initial.kind: expected zero or ball, got {out['initial']['kind']!r}")
     # each of these would otherwise crash a run or let a gate pass on nothing
-    rp, sw = out["reproductive"], out["sweep"]
+    rp, sw, pert = out["reproductive"], out["sweep"], out["stability"]["perturbation"]
     eps_ok = len(sw["epsilons"]) > 0 and all(
         type(e) in (int, float) and 0.0 < e <= 1.0 for e in sw["epsilons"])
     ranges = [("reproductive.tol", rp["tol"], rp["tol"] > 0, "a positive number"),
               ("reproductive.pairs", rp["pairs"], rp["pairs"] >= 1, "at least 1"),
+              ("stability.perturbation", pert, pert > 0, "a positive number"),
               ("sweep.epsilons", sw["epsilons"], eps_ok,
                "a non-empty list of numbers in (0, 1]"),
               ("sweep.samples", sw["samples"], sw["samples"] >= 1, "at least 1")]
@@ -360,8 +365,12 @@ def _run_eigs(ctx):
     orth = basis.orthonormality_error()
     eigres = float(basis.eigen_residuals().max())
     passed = orth <= 1e-10 and eigres <= 1e-8
+    # inside such a pair the basis is whichever rotation the eigensolver returned
+    lam = basis.eigenvalues
+    degenerate = [[j, j + 1] for j in range(len(lam) - 1)
+                  if abs(lam[j + 1] - lam[j]) <= 1e-10 * abs(lam[j + 1])]
     return passed, {"orthonormality_error": orth, "max_eigen_residual": eigres,
-                    "m": ctx.config.solver.m}
+                    "m": ctx.config.solver.m, "degenerate_pairs": degenerate}
 
 
 def _run_lift(ctx):

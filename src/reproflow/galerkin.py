@@ -41,13 +41,15 @@ class CompatibilityError(ValueError):
 
 
 class BlowupDetected(RuntimeError):
-    def __init__(self, step_index, max_coeff):
+    def __init__(self, step_index, max_coeff, row=None):
         self.step_index = step_index
         self.max_coeff = max_coeff
+        self.row = row
         super().__init__()
 
     def __str__(self):
-        return (f"coefficients exceeded 1e6 at step {self.step_index} "
+        where = "" if self.row is None else f" in stack row {self.row}"
+        return (f"coefficients exceeded 1e6 at step {self.step_index}{where} "
                 f"(max {self.max_coeff:.3e})")
 
 
@@ -91,13 +93,13 @@ def explicit_dt_bound(tensors, c0):
     """Conservative step bound for the explicit part of the update.
 
     0.5 over (worst coupling row sum + state norm times worst quadratic
-    row sum); recorded in run metadata and enforced before stepping.
+    row sum, the largest row norm for a stack); enforced before stepping.
     """
     de = np.abs(tensors.DE)
     # sum over the transported-mode index
     row_lin = de.sum(axis=0).max() if de.size else 0.0
     row_quad = np.abs(tensors.B).sum(axis=(0, 1)).max()
-    amp = float(np.linalg.norm(c0))
+    amp = float(np.max(np.linalg.norm(c0, axis=-1)))
     denom = row_lin + amp * row_quad
     if denom == 0.0:
         return np.inf
@@ -275,12 +277,14 @@ def project_initial(v0, lift, basis):
 
 
 def _nonstiff(c, b_flat, de, f):
-    quad = c @ (c @ b_flat).reshape(len(c), len(c))
-    return -quad - c @ de + f
+    # each stack row through its own (1, m) products: bitwise its own solve
+    r = c[..., None, :]
+    quad = r @ (r @ b_flat).reshape(c.shape + c.shape[-1:])
+    return (-quad - r @ de + f)[..., 0, :]
 
 
 def rhs(state, tensors, nu):
-    """Full coefficient derivative."""
+    """Full coefficient derivative of a state (m,) or a stack (k, m)."""
     return -nu * tensors.lam * state.c + _nonstiff(state.c, tensors.B_flat, tensors.DE,
                                                    tensors.F)
 
@@ -291,7 +295,7 @@ def step(state, tensors, config, _efactor=None):
     The diagonal stiff term is handled by its exact exponential; the
     remaining terms enter through a two-stage second-order update of
     the transformed variable.  Linear-only systems are integrated
-    exactly.
+    exactly.  `state.c` is one state (m,) or a stack (k, m) of them.
     """
     dt, nu = config.dt, config.nu
     e1 = _efactor if _efactor is not None else np.exp(-nu * tensors.lam * dt)
@@ -303,13 +307,15 @@ def step(state, tensors, config, _efactor=None):
 
     peak = np.abs(c_new).max()
     if not peak <= 1e6:  # also true for NaN
-        raise BlowupDetected(-1, peak if np.isfinite(peak) else np.inf)
+        row = int(np.argmin(np.abs(np.atleast_2d(c_new)).max(axis=1) <= 1e6))
+        raise BlowupDetected(-1, peak if np.isfinite(peak) else np.inf,
+                             row if c_new.ndim == 2 else None)
     return GalerkinState(state.t + dt, c_new)
 
 
 @dataclasses.dataclass
 class Trajectory:
-    """Coefficient history plus per-state energy records."""
+    """Coefficient history, shape (n+1,) + state shape, plus energy records."""
 
     times: np.ndarray
     coeffs: np.ndarray
@@ -320,7 +326,7 @@ class Trajectory:
 
     @property
     def l2sq(self):
-        return (self.coeffs**2).sum(axis=1)
+        return (self.coeffs**2).sum(axis=-1)
 
     @property
     def h1sq(self):
@@ -341,16 +347,16 @@ class Trajectory:
 def solve(config, u0, lift, basis, tensors=None):
     """Integrate the coefficient system on [0, T].
 
-    Returns the trajectory with per-state energy records; raises
-    BlowupDetected (with the partial history attached) if the state
-    leaves the trust region.
+    `u0.c` is one state (m,) or a stack (k, m), each row bitwise its own
+    solve.  Returns the trajectory with energy records; raises
+    BlowupDetected (partial history attached) if a state leaves the trust region.
     """
     validate_config(config)
     if tensors is None:
         tensors = assemble_tensors(basis, lift, nu=config.nu)
     m = len(tensors.lam)
-    if u0.c.shape != (m,):
-        raise ConfigError(f"initial state has {u0.c.shape[0]} coefficients, basis has {m}")
+    if u0.c.ndim not in (1, 2) or u0.c.shape[-1] != m or u0.c.size == 0:
+        raise ConfigError(f"initial state shape {u0.c.shape} is not ({m},) or (k, {m})")
     check_dt_bound(config, tensors, u0.c)
 
     n = config.n_steps()
@@ -362,7 +368,7 @@ def solve(config, u0, lift, basis, tensors=None):
         fsq = np.full(n + 1, inner_l2(lift.f_eps, lift.f_eps))
 
     times = np.arange(n + 1) * config.dt
-    coeffs = np.empty((n + 1, m))
+    coeffs = np.empty((n + 1,) + u0.c.shape)
     coeffs[0] = u0.c
     e1 = np.exp(-config.nu * tensors.lam * config.dt)
     state = GalerkinState(0.0, u0.c.copy())

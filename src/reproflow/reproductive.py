@@ -138,13 +138,11 @@ def validate_budget(boundary, lift, nu, budget=None):
 
 
 def map_L(u0, config, lift, basis, tensors=None, m_radius=None):
-    """The period map: coefficient state at t = T of the solve from u0.
+    """The period map: state at t = T of the solve from u0 (a row per start of a stack).
 
     Warns (BallExit) when the trajectory's sup V-norm leaves the ball
     of radius m_radius; the warning carries the measured supremum.
     """
-    if tensors is None:
-        tensors = assemble_tensors(basis, lift, nu=config.nu)
     traj = solve(config, u0, lift, basis, tensors=tensors)
     if m_radius is not None:
         sup = float(np.sqrt(traj.h1sq.max()))
@@ -181,27 +179,21 @@ def measure_contraction(config, lift, basis, pairs=5, seed=0, budget=None,
         raise RegimeViolation(
             "data exceeds the smallness budget; contraction is not claimed: "
             + "; ".join(budget.lines()))
-    if tensors is None:
-        tensors = assemble_tensors(basis, lift, nu=config.nu)
     m_radius = budget.m_radius if budget is not None else None
     lam = basis.eigenvalues
-    m = len(lam)
+    scale = m_radius if m_radius is not None else 1.0
     rng = np.random.default_rng(seed)
+    starts = np.empty((2 * pairs, len(lam)))
+    for c in starts:  # draws only: the pairs are mapped as one stack below
+        c[:] = rng.standard_normal(len(lam))
+        c *= scale * rng.uniform(0.2, 1.0) / vnorm(c, lam)
+    ends = map_L(GalerkinState(0.0, starts), config, lift, basis, tensors=tensors,
+                 m_radius=m_radius).c
     ratios = []
-    for _ in range(pairs):
-        pair = []
-        for _ in range(2):
-            c = rng.standard_normal(m)
-            radius = (m_radius if m_radius is not None else 1.0) * rng.uniform(0.2, 1.0)
-            c *= radius / vnorm(c, lam)
-            pair.append(GalerkinState(0.0, c))
-        u0, y0 = pair
-        d0 = vnorm(u0.c - y0.c, lam)
-        if d0 == 0.0:
-            continue  # degenerate draw; ratio 0 excluded from the max
-        lu = map_L(u0, config, lift, basis, tensors=tensors, m_radius=m_radius)
-        ly = map_L(y0, config, lift, basis, tensors=tensors, m_radius=m_radius)
-        ratios.append(vnorm(lu.c - ly.c, lam) / d0)
+    for u0, y0, lu, ly in zip(starts[::2], starts[1::2], ends[::2], ends[1::2]):
+        d0 = vnorm(u0 - y0, lam)
+        if d0 > 0.0:  # a degenerate draw's ratio 0 is excluded from the max
+            ratios.append(vnorm(lu - ly, lam) / d0)
     return ContractionReport(ratios=ratios, max_ratio=max(ratios) if ratios else 0.0,
                              envelope=math.exp(-config.nu * config.T),
                              pairs=pairs, seed=seed)

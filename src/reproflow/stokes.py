@@ -256,15 +256,23 @@ def _square_pencil(grid):
     return s.tocsc(), mm.tocsc()
 
 
+def check_mode_count(kind, n, m):
+    """Raise ValueError when a grid of nx = n cannot resolve m modes.
+
+    The cap is 25% of (n-1)^2 on the square and of 2 n^2 on the torus,
+    where the modes must also stay below the Nyquist wavenumber.
+    """
+    dim = (n - 1) ** 2 if kind == SQUARE else 2 * n * n
+    if m > dim // 4:
+        raise ValueError(f"m = {m} exceeds the spectral-accuracy cap {dim // 4} "
+                         f"(25% of {dim}) of the {kind} at nx = {n}")
+    if kind != SQUARE:
+        _torus_wavevectors(m, n)
+
+
 def _square_eigenbasis(grid, m):
     n = grid.nx
     dim = (n - 1) ** 2
-    cap = dim // 4
-    if m > cap:
-        raise ValueError(
-            f"m = {m} exceeds the spectral-accuracy cap {cap} (25% of the "
-            f"divergence-free space dimension {dim} at nx = {n})"
-        )
     s, mm = _square_pencil(grid)
     v0 = np.full(dim, 1.0 / np.sqrt(dim))
     try:
@@ -328,9 +336,6 @@ def _torus_wavevectors(m, n):
 
 def _torus_eigenbasis(grid, m):
     n = grid.nx
-    cap = (2 * n * n) // 4
-    if m > cap:
-        raise ValueError(f"m = {m} exceeds the 25% cap {cap} on the torus")
     xu, yu = grid.uface_coords()
     xv, yv = grid.vface_coords()
     scale = 1.0 / np.sqrt(2.0 * np.pi**2)
@@ -367,6 +372,7 @@ def compute_eigenbasis(grid, m, cache_dir=None):
     """
     if m < 1:
         raise ValueError("need at least one mode")
+    check_mode_count(grid.kind, grid.nx, m)
     path = _cache_path(cache_dir, grid, m) if cache_dir else None
     if path and os.path.exists(path):
         try:

@@ -66,14 +66,15 @@ def test_null_rejected_where_default_is_set(tmp_path, capsys, dotted):
 @pytest.mark.parametrize("dotted, value", [
     ("reproductive.tol", 0.0), ("reproductive.tol", -1.0), ("reproductive.pairs", 0),
     ("sweep.epsilons", []), ("sweep.epsilons", [0.4, 1.5]), ("sweep.epsilons", ["a"]),
-    ("sweep.samples", 0)],
+    ("sweep.samples", 0), ("stability.perturbation", 0.0)],
     ids=["tol=0", "tol<0", "pairs=0", "epsilons=[]", "epsilon>1", "epsilon=str",
-         "samples=0"])
+         "samples=0", "perturbation=0"])
 def test_out_of_range_values_rejected(tmp_path, capsys, dotted, value):
     # tol <= 0 and a bad epsilon used to end in a traceback; zero pairs,
-    # no epsilons or no samples passed a gate with nothing measured
+    # no epsilons, no samples or a zero perturbation passed a gate with
+    # nothing measured
     section, key = dotted.split(".")
-    exp = "lift" if section == "sweep" else "reproductive"
+    exp = {"sweep": "lift", "stability": "stability"}.get(section, "reproductive")
     path = write_config(tmp_path, experiment=exp, **{section: {key: value}})
     rc = main([exp, "--config", path])
     err = capsys.readouterr().err
@@ -104,6 +105,22 @@ def test_bad_solver_values(tmp_path, capsys):
                             solver=overrides)
         assert main(["solve", "--config", path]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("exp, solver", [
+    ("eigs", {"grid_kind": "square", "nx": 8, "m": 32}),
+    ("solve", {"grid_kind": "torus", "nx": 8, "m": 40})],
+    ids=["square_eigs", "torus_solve"])
+def test_modes_over_the_grid_cap_rejected(tmp_path, capsys, exp, solver):
+    # both used to end in an uncaught ValueError from the basis build
+    out = tmp_path / "out"
+    path = write_config(tmp_path, experiment=exp, out=str(out), solver=solver,
+                        boundary={"profile": None})
+    rc = main([exp, "--config", path])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "solver.m: m = " in err and "exceeds the spectral-accuracy cap" in err, err
+    assert not out.exists()
 
 
 def test_torus_rejects_wall_data(tmp_path, capsys):
@@ -185,6 +202,15 @@ def test_eigs_run_artifacts(tmp_path, capsys):
         rows = fh.read().splitlines()
     assert rows[0] == "j,eigenvalue"
     assert len(rows) == 5
+    # the square's x <-> y symmetry doubles eigenvalues; the manifest names them
+    assert man["summary"]["degenerate_pairs"] == [[1, 2]]
+    out48 = str(tmp_path / "eigs48_out")
+    path = write_config(tmp_path, name="eigs48.yaml", experiment="eigs", out=out48,
+                        boundary={}, solver={"nx": 48, "m": 32})
+    assert main(["eigs", "--config", path]) == 0
+    capsys.readouterr()
+    assert read_manifest(out48)["summary"]["degenerate_pairs"] == [
+        [1, 2], [6, 7], [8, 9], [13, 14], [17, 18], [22, 23], [25, 26], [28, 29]]
 
 
 def test_solve_run_artifacts_and_manifest(tmp_path, capsys):

@@ -175,10 +175,42 @@ def test_solve_calls_step_through_the_module(monkeypatch, basis32, lift32, tenso
     assert len(calls) == traj.n_steps == config32.n_steps()
 
 
+@pytest.fixture(scope="module")
+def tensors32_nolift(basis32):
+    return assemble_tensors(basis32, None)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("which", ["tensors32", "tensors32_nolift", "sliced_tensors"])
+def test_stack_rows_match_single_solves(request, config32, basis32, lift32, which, k):
+    # each row of a (k, m) stack steps bitwise as the same state alone;
+    # k = 1 is given as a (1, m) stack, not as an (m,) state
+    tensors = request.getfixturevalue(which)
+    lift = None if which == "tensors32_nolift" else lift32
+    m = len(tensors.lam)
+    cfg = dataclasses.replace(config32, m=m)
+    rng = np.random.default_rng(23)
+    stack = rng.standard_normal((k, m))
+    stack *= 0.03 / np.sqrt((stack**2) @ tensors.lam)[:, None]
+    traj = solve(cfg, GalerkinState(0.0, stack.copy()), lift, basis32, tensors=tensors)
+    assert traj.coeffs.shape == (cfg.n_steps() + 1, k, m)
+    assert traj.l2sq.shape == traj.h1sq.shape == traj.h2sq.shape == (cfg.n_steps() + 1, k)
+    for row in range(k):
+        alone = solve(cfg, GalerkinState(0.0, stack[row].copy()), lift, basis32,
+                      tensors=tensors)
+        assert np.array_equal(traj.coeffs[:, row], alone.coeffs)
+        assert np.array_equal(traj.l2sq[:, row], alone.l2sq)
+        assert np.array_equal(rhs(GalerkinState(0.0, stack[row]), tensors, 1.0),
+                              rhs(GalerkinState(0.0, stack), tensors, 1.0)[row])
+
+
 def test_dt_bound_monotone_and_enforced(tensors32, config32):
     c_small = 1e-3 * np.ones(8)
     c_big = 1.0 * np.ones(8)
     assert explicit_dt_bound(tensors32, c_big) < explicit_dt_bound(tensors32, c_small)
+    # a stack is bounded by its largest row
+    assert (explicit_dt_bound(tensors32, np.stack([c_small, c_big]))
+            == explicit_dt_bound(tensors32, c_big))
     bad = dataclasses.replace(config32, dt=0.5, T=1.0)
     with pytest.raises(ConfigError):
         check_dt_bound(bad, tensors32, c_big)
@@ -235,12 +267,25 @@ def test_blowup_detected_with_partial_history(basis32):
     assert exc.step_index > 100
     assert exc.partial.coeffs.shape == (exc.step_index + 1, m)
     assert np.isfinite(exc.partial.coeffs).all()
+    assert exc.row is None and "row" not in str(exc)
+
+    # in a stack the row that leaves first is named, at the step it leaves alone
+    stack = np.array([[1e-3, 1e-3], [1.0, 1.0], [1e-3, 0.0]])
+    with pytest.raises(BlowupDetected) as info:
+        solve(cfg, GalerkinState(0.0, stack), None, basis32, tensors=tensors)
+    rows = info.value
+    assert rows.row == 1 and "stack row 1" in str(rows)
+    assert rows.step_index == exc.step_index
+    assert rows.partial.coeffs.shape == (exc.step_index + 1, 3, m)
+    assert np.array_equal(rows.partial.coeffs[:, 1], exc.partial.coeffs)
 
 
 def test_solve_rejects_mismatched_state(basis32, tensors32, config32):
-    with pytest.raises(ConfigError):
-        solve(config32, GalerkinState(0.0, np.zeros(5)), None, basis32,
-              tensors=tensors32)
+    # m = 8: a state (8,) or a stack (k, 8) with k >= 1, nothing else
+    for shape in [(5,), (3, 5), (2, 3, 8), (0, 8), ()]:
+        with pytest.raises(ConfigError, match="initial state shape"):
+            solve(config32, GalerkinState(0.0, np.zeros(shape)), None, basis32,
+                  tensors=tensors32)
 
 
 def test_project_initial_round_trip(basis32, lift32):

@@ -5,7 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from reproflow.galerkin import GalerkinState, SolverConfig, Tensors, solve
+from reproflow import reproductive
+from reproflow.galerkin import GalerkinState, SolverConfig, Tensors, solve, vnorm
 from reproflow.reproductive import (
     BallExit,
     NonConvergence,
@@ -90,6 +91,41 @@ def test_contraction_below_envelope(config32, lift32, basis32, tensors32):
     assert report.envelope == pytest.approx(np.exp(-config32.nu * config32.T))
     assert report.max_ratio <= report.envelope * 1.1
     assert report.passed(0.1)
+
+
+def _sequential_contraction_ratios(config, lift, basis, pairs, seed, m_radius, tensors):
+    """The pair-by-pair loop of single-state period maps the stack replaced."""
+    lam = basis.eigenvalues
+    rng = np.random.default_rng(seed)
+    ratios = []
+    for _ in range(pairs):
+        pair = []
+        for _ in range(2):
+            c = rng.standard_normal(len(lam))
+            c *= m_radius * rng.uniform(0.2, 1.0) / vnorm(c, lam)
+            pair.append(GalerkinState(0.0, c))
+        d0 = vnorm(pair[0].c - pair[1].c, lam)
+        lu, ly = (map_L(u, config, lift, basis, tensors=tensors) for u in pair)
+        ratios.append(vnorm(lu.c - ly.c, lam) / d0)
+    return ratios
+
+
+def test_contraction_is_one_stacked_solve(monkeypatch, config32, lift32, basis32,
+                                          tensors32):
+    budget = validate_budget(lift32.boundary, lift32, nu=1.0)
+    want = _sequential_contraction_ratios(config32, lift32, basis32, 4, 3,
+                                          budget.m_radius, tensors32)
+    calls = []
+
+    def counting(config, u0, *args, **kwargs):
+        calls.append(u0.c.shape)
+        return solve(config, u0, *args, **kwargs)
+
+    monkeypatch.setattr(reproductive, "solve", counting)
+    report = measure_contraction(config32, lift32, basis32, pairs=4, seed=3,
+                                 budget=budget, tensors=tensors32)
+    assert calls == [(8, 8)]
+    assert np.array_equal(report.ratios, want)
 
 
 def test_contraction_regime_gate(config32, lift32, basis32, tensors32):

@@ -11,7 +11,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from reproflow.galerkin import GalerkinState, assemble_tensors, solve
+from reproflow import verification
+from reproflow.galerkin import GalerkinState, assemble_tensors, solve, vnorm
 from reproflow.verification import (
     AUDIT_TOL,
     RegimeViolation,
@@ -108,6 +109,30 @@ def test_stability_decay(config32, lift32, basis32, tensors32):
     assert rep.passed(0.05)
     assert rep.monotone
     assert rep.z_norms[-1] < rep.z_norms[0]
+
+
+def test_stability_is_one_stacked_solve(monkeypatch, config32, lift32, basis32,
+                                        tensors32):
+    rng = np.random.default_rng(9)
+    c = rng.standard_normal((2, 8))
+    c *= 0.02 / np.sqrt((c**2) @ basis32.eigenvalues)[:, None]
+    v0, w0 = GalerkinState(0.0, c[0]), GalerkinState(0.0, c[1])
+    # the two single solves the stacked pair replaced
+    ta, tb = (solve(config32, GalerkinState(0.0, s.c.copy()), lift32, basis32,
+                    tensors=tensors32) for s in (v0, w0))
+    want = vnorm(ta.coeffs - tb.coeffs, basis32.eigenvalues)
+    calls = []
+
+    def counting(config, u0, *args, **kwargs):
+        calls.append(u0.c.shape)
+        return solve(config, u0, *args, **kwargs)
+
+    monkeypatch.setattr(verification, "solve", counting)
+    rep = stability_experiment(config32, v0, w0, lift32, basis32, tensors=tensors32,
+                               m_radius=0.05)
+    assert calls == [(2, 8)]
+    assert np.array_equal(rep.z_norms, want)
+    assert np.array_equal(rep.times, ta.times)
 
 
 def test_stability_identical_states(config32, lift32, basis32, tensors32):
