@@ -109,7 +109,7 @@ SCHEMA = {
     },
     "verify": {
         # slack rate calibrated on the standard fixture (tools/calibrate_regime.py)
-        "kappa": (3.08268453e-3, float),
+        "kappa": (3.00531870e-3, float),
         # the smallness ball B_M of verify, stability and reproductive
         "m_radius": (DEFAULT_BUDGET_FIXTURE["m_radius"], float),
     },
@@ -365,7 +365,7 @@ def _run_eigs(ctx):
     orth = basis.orthonormality_error()
     eigres = float(basis.eigen_residuals().max())
     passed = orth <= 1e-10 and eigres <= 1e-8
-    # inside such a pair the basis is whichever rotation the eigensolver returned
+    # on the square each such pair is an even-odd mode, then its transpose
     lam = basis.eigenvalues
     degenerate = [[j, j + 1] for j in range(len(lam) - 1)
                   if abs(lam[j + 1] - lam[j]) <= 1e-10 * abs(lam[j + 1])]

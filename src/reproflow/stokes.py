@@ -12,6 +12,16 @@ Laplacian.  Because A maps V_h into V_h and the reduction is a genuine
 Galerkin identity (not an approximation), the eigenresiduals of the
 reconstructed modes are solver rounding, orders below the contracted 1e-8.
 
+The pencil commutes exactly with the x-mirror, the y-mirror and the x<->y
+transpose of the interior stream-function grid, so it splits into four
+mirror-parity sectors (Bossavit, Comput. Methods Appl. Mech. Engrg. 56,
+1986).  Three are solved by shift-invert, each a quarter of the size (or
+densely, when too small for ARPACK); the odd-even sector is the transpose
+of the even-odd one, with bitwise the same eigenvalues.
+Every double eigenvalue the x<->y symmetry forces is therefore a pair
+(even-odd mode, its transpose) in that order, not a rotation chosen by
+the eigensolver, and the basis does not depend on the BLAS thread count.
+
 Torus: there is no boundary and the domain exists to provide analytic
 oracles, so the eigenpairs are the closed-form solenoidal trig modes with
 *exact* eigenvalues |k|^2, and the operator application is the exact Fourier
@@ -29,6 +39,7 @@ periodic one), so projector idempotence and div(Pu) = 0 hold to rounding.
 import os
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -41,7 +52,7 @@ from .fields import (
     rot,
 )
 
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 
 class EigensolverError(Exception):
@@ -270,21 +281,73 @@ def check_mode_count(kind, n, m):
         _torus_wavevectors(m, n)
 
 
+def _start_count(m):
+    """Pairs first asked of each parity sector: a quarter of m and a margin."""
+    return -(-m // 4) + 4
+
+
+def _parity_maps(size):
+    """Even and odd mirror-parity maps of a line of `size` nodes.
+
+    Column k is node k plus (even) or minus (odd) its mirror node size-1-k.
+    The entries are exact, so Q^T S Q only sums pencil entries: the
+    rounded 2^-1/2 of orthonormal maps would perturb each one, which the
+    pencil amplifies to eigenvalue errors near 7e-11 at nx = 96.
+    """
+    eye = sp.eye(size, format="csc")
+    return {"even": (eye + eye[::-1])[:, :(size + 1) // 2],
+            "odd": (eye - eye[::-1])[:, :size // 2]}
+
+
+# the solved sectors, as (x, y) parities of the stream function; odd-even
+# is the transpose of even-odd
+SECTORS = (("even", "even"), ("odd", "odd"), ("even", "odd"))
+
+
 def _square_eigenbasis(grid, m):
     n = grid.nx
-    dim = (n - 1) ** 2
     s, mm = _square_pencil(grid)
-    v0 = np.full(dim, 1.0 / np.sqrt(dim))
-    try:
-        vals, vecs = spla.eigsh(s, k=m, M=mm, sigma=0.0, which="LM", v0=v0)
-    except spla.ArpackNoConvergence as err:  # pragma: no cover - diagnostics
-        raise EigensolverError(
-            f"eigensolver stalled at nx={n}, m={m}: "
-            f"{len(err.eigenvalues)} of {m} pairs converged"
-        ) from err
-    order = np.argsort(vals)
+    maps = _parity_maps(n - 1)
+    sectors = []
+    for px, py in SECTORS:
+        q = sp.kron(maps[px], maps[py], format="csc")
+        sectors.append((q, (q.T @ s @ q).tocsc(), (q.T @ mm @ q).tocsc()))
+
+    counts = [_start_count(m)] * len(sectors)
+    solved = [None] * len(sectors)
+    todo = range(len(sectors))
+    while todo:
+        for i in todo:
+            q, ss, ms = sectors[i]
+            dim = q.shape[1]
+            if counts[i] >= dim - 1:  # too small for ARPACK: every pair, dense
+                vals, vecs = scipy.linalg.eigh(ss.toarray(), ms.toarray())
+            else:
+                try:
+                    vals, vecs = spla.eigsh(ss, k=counts[i], M=ms, sigma=0.0,
+                                            which="LM", v0=np.full(dim, dim**-0.5))
+                except spla.ArpackNoConvergence as err:  # pragma: no cover
+                    raise EigensolverError(
+                        f"eigensolver stalled at nx={n}, m={m}: "
+                        f"{len(err.eigenvalues)} of {counts[i]} pairs converged "
+                        f"in the {'-'.join(SECTORS[i])} sector"
+                    ) from err
+            order = np.argsort(vals)
+            solved[i] = (vals[order], q @ vecs[:, order])
+        # a sector that stops at or below the m-th value may hide one under it
+        lam = np.sort(np.concatenate([solved[i][0] for i in (0, 1, 2, 2)]))
+        lam_m = lam[m - 1] if len(lam) >= m else np.inf
+        todo = [i for i, (vals, _) in enumerate(solved)
+                if len(vals) < sectors[i][0].shape[1] and vals[-1] <= lam_m]
+        for i in todo:
+            counts[i] *= 2
+
+    (lee, yee), (loo, yoo), (leo, yeo) = solved
+    yoe = yeo.reshape(n - 1, n - 1, -1).transpose(1, 0, 2).reshape(yeo.shape)
+    vals = np.concatenate([lee, loo, leo, leo])
+    order = np.argsort(vals, kind="stable")[:m]
     vals = vals[order]
-    vecs = vecs[:, order]
+    vecs = np.hstack([yee, yoo, yeo, yoe])[:, order]
 
     ustack = np.empty((m,) + grid.shape_u())
     vstack = np.empty((m,) + grid.shape_v())
@@ -294,7 +357,7 @@ def _square_eigenbasis(grid, m):
         w = rot(ScalarField(grid, psi_full, loc="node"))
         ustack[j] = w.u
         vstack[j] = w.v
-    # eigsh returns M-orthonormal vectors; rescale exactly to unit L2 anyway
+    # the sector solves return M-orthonormal vectors; rescale exactly to unit L2
     h2 = grid.h**2
     nrm = np.sqrt(
         h2 * (np.einsum("mij,mij->m", ustack, ustack)
@@ -303,6 +366,23 @@ def _square_eigenbasis(grid, m):
     ustack /= nrm[:, None, None]
     vstack /= nrm[:, None, None]
     return vals, ustack, vstack
+
+
+def _mirror_parities(ustack, vstack):
+    """(x, y) mirror parity of each mode's stream function: 1, -1, or 0 for neither.
+
+    A stream function even in x gives u even and v odd under the x-mirror;
+    one even in y gives u odd and v even under the y-mirror.
+    """
+    scale = np.maximum(np.abs(ustack).max(axis=(1, 2)), np.abs(vstack).max(axis=(1, 2)))
+    out = np.zeros((len(ustack), 2), dtype=int)
+    for axis, sign in ((0, 1), (1, -1)):
+        fu, fv = np.flip(ustack, axis + 1), np.flip(vstack, axis + 1)
+        for p in (1, -1):
+            err = np.maximum(np.abs(fu - sign * p * ustack).max(axis=(1, 2)),
+                             np.abs(fv + sign * p * vstack).max(axis=(1, 2)))
+            out[err <= 1e-8 * scale, axis] = p
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -365,10 +445,15 @@ def _cache_path(cache_dir, grid, m):
 def compute_eigenbasis(grid, m, cache_dir=None):
     """The m smallest Stokes eigenpairs on the grid, L2-orthonormal.
 
-    Deterministic: fixed eigensolver start vector, explicit ascending sort,
-    sign convention "first non-negligible sample positive".  With cache_dir
-    set, results are stored keyed by (kind, nx, m); the loader re-verifies
-    orthonormality and silently rebuilds a corrupt file.
+    Deterministic.  On the square, each parity sector (module docstring)
+    is solved from a fixed start vector, first for ceil(m/4) + 4 pairs; a
+    sector whose largest computed eigenvalue is at or below the merged
+    m-th, with pairs left, is solved again for twice as many.  The merge
+    is a stable ascending sort in the order ee, oo, eo, oe.  Sign rule:
+    first non-negligible sample positive.  With cache_dir set, results
+    are stored keyed by (kind, nx, m); the loader re-verifies
+    orthonormality, on the square also one mirror parity per mode and
+    axis, and silently rebuilds a file that fails.
     """
     if m < 1:
         raise ValueError("need at least one mode")
@@ -378,7 +463,9 @@ def compute_eigenbasis(grid, m, cache_dir=None):
         try:
             with np.load(path, allow_pickle=False) as d:
                 basis = StokesBasis(grid, d["eigenvalues"], d["ustack"], d["vstack"])
-            if basis.orthonormality_error() <= 1e-10:
+            canonical = (grid.kind != SQUARE
+                         or _mirror_parities(basis.ustack, basis.vstack).all())
+            if canonical and basis.orthonormality_error() <= 1e-10:
                 return basis
         except Exception:
             pass  # fall through to rebuild

@@ -6,12 +6,18 @@ eigenvalues are the exact integer symbols |k|^2 of the analytic modes.
 """
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from reproflow import stokes
 from reproflow.fields import Grid, divergence, inner_l2
-from reproflow.stokes import compute_eigenbasis, _cache_path
+from reproflow.stokes import (
+    _cache_path, _mirror_parities, _square_pencil, compute_eigenbasis,
+)
 
 # dense-oracle values, shift-invert sparse and dense eigensolves agree
 # to ~1e-9 at these sizes
@@ -117,3 +123,106 @@ def test_mode_l2_normalized(basis48):
     for j in (0, 13, 31):
         w = basis48.mode(j)
         assert inner_l2(w, w) == pytest.approx(1.0, abs=1e-12)
+
+
+def _dense_eigenvalues(nx):
+    s, mm = _square_pencil(Grid("square", nx))
+    return scipy.linalg.eigh(s.toarray(), mm.toarray(), eigvals_only=True)
+
+
+# nx = 4 has three interior lines, so its odd-odd sector has dimension 1
+@pytest.mark.parametrize("nx", [4, 5, 8, 12])
+def test_sector_solve_matches_dense_pencil(nx):
+    dense = _dense_eigenvalues(nx)
+    for m in range(1, (nx - 1) ** 2 // 4 + 1):
+        got = compute_eigenbasis(Grid("square", nx), m).eigenvalues
+        np.testing.assert_allclose(got, dense[:m], rtol=1e-10, err_msg=f"m = {m}")
+
+
+@pytest.mark.parametrize("nx", [8, 12])
+def test_sector_widening_finds_every_eigenvalue(nx, monkeypatch):
+    # from one pair per sector, every m-th eigenvalue needs the widening loop
+    solves = []
+    eigsh = stokes.spla.eigsh
+
+    def counted(*args, **kwargs):
+        solves.append(kwargs["k"])
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(stokes, "_start_count", lambda m: 1)
+    monkeypatch.setattr(stokes.spla, "eigsh", counted)
+    m = (nx - 1) ** 2 // 4
+    got = compute_eigenbasis(Grid("square", nx), m).eigenvalues
+    np.testing.assert_allclose(got, _dense_eigenvalues(nx)[:m], rtol=1e-10)
+    assert len(solves) > 3 and max(solves) > 1
+
+
+def test_degenerate_pairs_are_transposed_even_odd_modes(basis48):
+    lam = basis48.eigenvalues
+    pairs = [j for j in range(len(lam) - 1)
+             if abs(lam[j + 1] - lam[j]) <= 1e-10 * abs(lam[j + 1])]
+    assert len(pairs) == 8
+    parity = _mirror_parities(basis48.ustack, basis48.vstack)
+    u, v = basis48.ustack, basis48.vstack
+    for j in pairs:
+        assert parity[j].tolist() == [1, -1] and parity[j + 1].tolist() == [-1, 1]
+        # psi(y, x) has u = -v(y, x) and v = -u(y, x); the sign rule picks the sign
+        sign = np.sign(np.sum(u[j + 1] * v[j].T))
+        assert np.abs(u[j + 1] - sign * v[j].T).max() <= 1e-12
+        assert np.abs(v[j + 1] - sign * u[j].T).max() <= 1e-12
+
+
+def test_basis_independent_of_start_vector(basis48, monkeypatch):
+    eigsh = stokes.spla.eigsh
+
+    def random_start(*args, **kwargs):
+        kwargs["v0"] = np.random.default_rng(5).standard_normal(len(kwargs["v0"]))
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(stokes.spla, "eigsh", random_start)
+    other = compute_eigenbasis(Grid("square", 48), 32)
+    assert np.abs(other.ustack - basis48.ustack).max() <= 1e-10
+    assert np.abs(other.vstack - basis48.vstack).max() <= 1e-10
+
+
+def test_basis_independent_of_blas_threads(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stokes.__file__)))
+    code = ("import sys, numpy as np\n"
+            "from reproflow.fields import Grid\n"
+            "from reproflow.stokes import compute_eigenbasis\n"
+            "b = compute_eigenbasis(Grid('square', 96), 64)\n"
+            "np.savez(sys.argv[1], u=b.ustack, v=b.vstack)\n")
+    stacks = []
+    for threads in ("1", "2"):
+        out = str(tmp_path / f"threads{threads}.npz")
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        subprocess.run([sys.executable, "-c", code, out], env=env, check=True)
+        with np.load(out) as d:
+            stacks.append((d["u"], d["v"]))
+    (u1, v1), (u2, v2) = stacks
+    assert np.abs(u1 - u2).max() <= 1e-10
+    assert np.abs(v1 - v2).max() <= 1e-10
+
+
+def test_cache_rejects_rotated_degenerate_pair(tmp_path):
+    grid = Grid("square", 12)
+    cache = str(tmp_path)
+    a = compute_eigenbasis(grid, 3, cache_dir=cache)
+    assert a.eigenvalues[2] - a.eigenvalues[1] <= 1e-10 * a.eigenvalues[2]
+    path = _cache_path(cache, grid, 3)
+
+    # a 30 degree rotation inside the pair is still an orthonormal eigenbasis
+    with np.load(path, allow_pickle=False) as d:
+        payload = dict(d)
+    c, s = np.cos(np.pi / 6), np.sin(np.pi / 6)
+    for key in ("ustack", "vstack"):
+        w1, w2 = payload[key][1].copy(), payload[key][2].copy()
+        payload[key][1], payload[key][2] = c * w1 - s * w2, s * w1 + c * w2
+    rotated = stokes.StokesBasis(grid, payload["eigenvalues"], payload["ustack"],
+                                 payload["vstack"])
+    assert rotated.orthonormality_error() <= 1e-10
+    np.savez(path, **payload)
+
+    b = compute_eigenbasis(grid, 3, cache_dir=cache)
+    assert np.array_equal(b.ustack, a.ustack)
+    assert np.array_equal(b.vstack, a.vstack)

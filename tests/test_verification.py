@@ -12,7 +12,10 @@ import numpy as np
 import pytest
 
 from reproflow import verification
-from reproflow.galerkin import GalerkinState, assemble_tensors, solve, vnorm
+from reproflow.cli import SCHEMA
+from reproflow.galerkin import (
+    GalerkinState, SolverConfig, assemble_tensors, solve, vnorm,
+)
 from reproflow.verification import (
     AUDIT_TOL,
     RegimeViolation,
@@ -94,6 +97,17 @@ def test_calibrate_slack_nonnegative(config32, lift32, basis32):
     assert 0.0 <= kappa < 1.0
     # pinned, so that a change to the energy formula shows here
     assert kappa == pytest.approx(6.30530855971756e-4, rel=1e-14, abs=0)
+
+
+def test_kappa_default_is_the_calibrated_rate(basis48, lift48):
+    # the calibration of tools/calibrate_regime.py: the standard fixture,
+    # T = 0.5, from the last of three rng(11) draws at V-norm 0.05
+    draws = np.random.default_rng(11).standard_normal((3, 32))
+    draws *= 0.05 / vnorm(draws, basis48.eigenvalues)[:, None]
+    cfg = SolverConfig(nu=1.0, T=0.5, dt=1e-3, m=32, grid_kind="square", nx=48)
+    kappa = calibrate_slack(cfg, GalerkinState(0.0, draws[-1]), lift48, basis48)
+    print(f"calibrated kappa {kappa:.8e}, default {SCHEMA['verify']['kappa'][0]:.8e}")
+    assert SCHEMA["verify"]["kappa"][0] == pytest.approx(kappa, rel=1e-6)
 
 
 def test_stability_decay(config32, lift32, basis32, tensors32):
