@@ -465,10 +465,7 @@ def _run_stability(ctx):
     w0 = GalerkinState(0.0, v0.c + z)
     rep = stability_experiment(cfg, v0, w0, lift, basis, tensors=tensors,
                                m_radius=ctx.config.section("verify")["m_radius"])
-    rows = list(zip(rep.times, rep.z_norms, rep.envelope,
-                    np.divide(rep.z_norms, rep.envelope,
-                              out=np.zeros_like(rep.z_norms),
-                              where=rep.envelope > 0)))
+    rows = list(zip(rep.times, rep.z_norms, rep.envelope, rep.ratios))
     write_csv(ctx.path("z_norms.csv"), ["t", "z_vnorm", "envelope", "ratio"], rows)
     passed = rep.passed(0.05)
     return passed, {"max_ratio": rep.max_ratio, "monotone": rep.monotone,

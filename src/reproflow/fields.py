@@ -289,28 +289,21 @@ def gradient(phi):
 # ---------------------------------------------------------------------------
 
 
-def _lap_1d_mirror(a, axis, h):
-    """Second difference along ``axis`` with odd-mirror ghosts (no-slip walls)."""
-    ghost_lo = -np.take(a, [0], axis=axis)
-    ghost_hi = -np.take(a, [-1], axis=axis)
-    ext = np.concatenate([ghost_lo, a, ghost_hi], axis=axis)
-    sl = [slice(None)] * a.ndim
-    sl_lo, sl_mid, sl_hi = list(sl), list(sl), list(sl)
-    sl_lo[axis] = slice(0, -2)
-    sl_mid[axis] = slice(1, -1)
-    sl_hi[axis] = slice(2, None)
-    return (ext[tuple(sl_hi)] - 2.0 * ext[tuple(sl_mid)] + ext[tuple(sl_lo)]) / h**2
+def _lap_1d(a, axis, h, bc):
+    """Second difference along ``axis`` with ghosts set by the wall closure.
 
-
-def _lap_1d_extrap(a, axis, h):
-    """Second difference with quadratically extrapolated ghosts.
-
-    For fields that do not vanish at the wall (the boundary lift), the
-    odd mirror would be O(1) wrong; extrapolation keeps second order.
+    ``"noslip"``: odd-mirror ghosts.  ``"extrapolate"``: quadratically
+    extrapolated ghosts, for fields that do not vanish at the wall (the
+    boundary lift), where the odd mirror would be O(1) wrong.
     """
     take = lambda k: np.take(a, [k], axis=axis)
-    ghost_lo = 3.0 * take(0) - 3.0 * take(1) + take(2)
-    ghost_hi = 3.0 * take(-1) - 3.0 * take(-2) + take(-3)
+    if bc == "noslip":
+        ghost_lo, ghost_hi = -take(0), -take(-1)
+    elif bc == "extrapolate":
+        ghost_lo = 3.0 * take(0) - 3.0 * take(1) + take(2)
+        ghost_hi = 3.0 * take(-1) - 3.0 * take(-2) + take(-3)
+    else:
+        raise ValueError(f"unknown bc {bc!r}")
     ext = np.concatenate([ghost_lo, a, ghost_hi], axis=axis)
     sl = [slice(None)] * a.ndim
     sl_lo, sl_mid, sl_hi = list(sl), list(sl), list(sl)
@@ -350,21 +343,14 @@ def laplacian(field, bc="noslip"):
     if g.kind == TORUS:
         return VectorField(g, _lap_periodic(field.u, h), _lap_periodic(field.v, h))
 
-    if bc == "noslip":
-        lap_t = _lap_1d_mirror
-    elif bc == "extrapolate":
-        lap_t = _lap_1d_extrap
-    else:
-        raise ValueError(f"unknown bc {bc!r}")
-
     u, v = field.u, field.v
     lu = np.zeros_like(u)
     # normal (x) direction: interior faces see their neighbors, walls are data
     lu[1:-1, :] = (u[2:, :] - 2.0 * u[1:-1, :] + u[:-2, :]) / h**2
-    lu[1:-1, :] += lap_t(u, 1, h)[1:-1, :]
+    lu[1:-1, :] += _lap_1d(u, 1, h, bc)[1:-1, :]
     lv = np.zeros_like(v)
     lv[:, 1:-1] = (v[:, 2:] - 2.0 * v[:, 1:-1] + v[:, :-2]) / h**2
-    lv[:, 1:-1] += lap_t(v, 0, h)[:, 1:-1]
+    lv[:, 1:-1] += _lap_1d(v, 0, h, bc)[:, 1:-1]
     return VectorField(g, lu, lv)
 
 
@@ -497,50 +483,16 @@ def norm_l2(a):
     return float(np.sqrt(max(inner_l2(a, a), 0.0)))
 
 
-def _h1_component(a, b, tang_axis, periodic):
-    """Gradient-product sum for one velocity component array pair.
-
-    Exactly the quadratic form of the no-slip (mirror) Laplacian: plain
-    difference products in both directions plus the wall terms 2*a0*b0 from
-    the odd ghosts.  (h cancels: (d/h)^2 * h^2.)
-    """
-    if periodic:
-        s = float(np.sum((np.roll(a, -1, 0) - a) * (np.roll(b, -1, 0) - b)))
-        s += float(np.sum((np.roll(a, -1, 1) - a) * (np.roll(b, -1, 1) - b)))
-        return s
-    norm_axis = 1 - tang_axis
-    # differences along the normal direction use the wall samples directly
-    def d(arr, ax):
-        sl_hi = tuple(slice(1, None) if k == ax else slice(None) for k in range(2))
-        sl_lo = tuple(slice(0, -1) if k == ax else slice(None) for k in range(2))
-        return arr[sl_hi] - arr[sl_lo]
-
-    s = float(np.sum(d(a, norm_axis) * d(b, norm_axis)))
-    # tangential direction: interior differences + mirror wall terms,
-    # restricted to interior faces (wall faces are constrained samples)
-    inner = tuple(
-        slice(1, -1) if k == norm_axis else slice(None) for k in range(2)
-    )
-    ai, bi = a[inner], b[inner]
-    s += float(np.sum(d(ai, tang_axis) * d(bi, tang_axis)))
-    first = tuple(slice(0, 1) if k == tang_axis else slice(None) for k in range(2))
-    last = tuple(slice(-1, None) if k == tang_axis else slice(None) for k in range(2))
-    s += 2.0 * float(np.sum(ai[first] * bi[first]))
-    s += 2.0 * float(np.sum(ai[last] * bi[last]))
-    return s
-
-
 def inner_h1(a, b):
-    """Gradient (V-norm) inner product ((a, b)).
+    """Gradient (V-norm) inner product ((a, b)) = -(Lap a, b).
 
-    On the square this is the exact summation-by-parts realization of
-    (-Lap a, b) for the no-slip Laplacian, so Stokes eigenmodes satisfy
-    ((w_i, w_j)) = lambda_i delta_ij to rounding.
+    Lap is the no-slip Laplacian on the square (the periodic one on the
+    torus), whose eigenpairs the Stokes basis consists of, so Stokes
+    eigenmodes satisfy ((w_i, w_j)) = lambda_i delta_ij to rounding.  On
+    the square this is a symmetric gradient form only for fields whose
+    wall-normal samples vanish, as those of V_h and of the lift do.
     """
-    g = _same_grid(a, b)
-    per = g.kind == TORUS
-    s = _h1_component(a.u, b.u, 1, per) + _h1_component(a.v, b.v, 0, per)
-    return s
+    return -inner_l2(laplacian(a, bc="noslip"), b)
 
 
 def trilinear(u, v, w):

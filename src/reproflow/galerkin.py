@@ -468,7 +468,7 @@ def _momentum_residual(state_pair, basis, lift, nu):
     vbar = (v0 + v1) * 0.5
     dvdt = (v1 - v0) * (1.0 / dt)
 
-    lap = laplacian(vbar, bc="extrapolate") if grid.kind == SQUARE else laplacian(vbar)
+    lap = laplacian(vbar, bc="extrapolate")
     adv = advect(vbar, vbar)
     ru = -(dvdt.u + adv.u - nu * lap.u)
     rv = -(dvdt.v + adv.v - nu * lap.v)

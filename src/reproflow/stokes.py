@@ -47,6 +47,8 @@ from .fields import (
     SQUARE,
     ScalarField,
     VectorField,
+    divergence,
+    gradient,
     inner_l2,
     laplacian,
     rot,
@@ -71,17 +73,19 @@ class LerayProjector:
     def __init__(self, grid):
         self.grid = grid
         n = grid.nx
-        h = grid.h
         if grid.kind == SQUARE:
-            k = np.arange(n)
-            lam1d = -(4.0 / h**2) * np.sin(np.pi * k / (2.0 * n)) ** 2
-            self._eigs = lam1d[:, None] + lam1d[None, :]
-            self._eigs[0, 0] = 1.0  # pinned mean slot, see solve_poisson
+            import scipy.fft  # only user; kept off the start-up path of every run
+
+            theta = np.pi * np.arange(n) / (2.0 * n)
+            self._forward = lambda a: scipy.fft.dctn(a, type=2, norm="ortho")
+            self._inverse = lambda c: scipy.fft.idctn(c, type=2, norm="ortho")
         else:
-            k = np.fft.fftfreq(n, d=1.0 / n)
-            lam1d = -(4.0 / h**2) * np.sin(np.pi * k / n) ** 2
-            self._eigs = lam1d[:, None] + lam1d[None, :]
-            self._eigs[0, 0] = 1.0
+            theta = np.pi * np.fft.fftfreq(n, d=1.0 / n) / n
+            self._forward = np.fft.fft2
+            self._inverse = lambda c: np.fft.ifft2(c).real
+        lam1d = -(4.0 / grid.h**2) * np.sin(theta) ** 2
+        self._eigs = lam1d[:, None] + lam1d[None, :]
+        self._eigs[0, 0] = 1.0  # pinned mean slot, see solve_poisson
 
     def solve_poisson(self, rhs):
         """phi with Lap_h phi = rhs (centers), mean(phi) = 0.
@@ -91,41 +95,19 @@ class LerayProjector:
         up to rounding.
         """
         vals = rhs.values if isinstance(rhs, ScalarField) else np.asarray(rhs)
-        if self.grid.kind == SQUARE:
-            import scipy.fft  # only user; kept off the start-up path of every run
-
-            coef = scipy.fft.dctn(vals, type=2, norm="ortho")
-            coef[0, 0] = 0.0
-            coef /= self._eigs
-            phi = scipy.fft.idctn(coef, type=2, norm="ortho")
-        else:
-            coef = np.fft.fft2(vals)
-            coef[0, 0] = 0.0
-            coef /= self._eigs
-            phi = np.fft.ifft2(coef).real
-        return ScalarField(self.grid, phi, loc="center")
+        coef = self._forward(vals)
+        coef[0, 0] = 0.0
+        coef /= self._eigs
+        return ScalarField(self.grid, self._inverse(coef), loc="center")
 
     def project(self, w):
-        """u - grad(phi) with the wall-normal faces of the result zeroed."""
-        g = self.grid
-        h = g.h
-        if g.kind == SQUARE:
-            u = w.u.copy()
-            v = w.v.copy()
-            u[0, :] = 0.0
-            u[-1, :] = 0.0
-            v[:, 0] = 0.0
-            v[:, -1] = 0.0
-            div = (u[1:, :] - u[:-1, :]) / h + (v[:, 1:] - v[:, :-1]) / h
-            phi = self.solve_poisson(div).values
-            u[1:-1, :] -= (phi[1:, :] - phi[:-1, :]) / h
-            v[:, 1:-1] -= (phi[:, 1:] - phi[:, :-1]) / h
-            return VectorField(g, u, v)
-        div = (np.roll(w.u, -1, 0) - w.u) / h + (np.roll(w.v, -1, 1) - w.v) / h
-        phi = self.solve_poisson(div).values
-        u = w.u - (phi - np.roll(phi, 1, 0)) / h
-        v = w.v - (phi - np.roll(phi, 1, 1)) / h
-        return VectorField(g, u, v)
+        """w - grad(phi) with Lap_h phi = div w; on the square, w's
+        wall-normal faces are zeroed first."""
+        if self.grid.kind == SQUARE:
+            w = w.copy()
+            w.u[0, :] = w.u[-1, :] = 0.0
+            w.v[:, 0] = w.v[:, -1] = 0.0
+        return w - gradient(self.solve_poisson(divergence(w)))
 
 
 def _torus_wavenumbers(n):
@@ -270,15 +252,14 @@ def _square_pencil(grid):
 def check_mode_count(kind, n, m):
     """Raise ValueError when a grid of nx = n cannot resolve m modes.
 
-    The cap is 25% of (n-1)^2 on the square and of 2 n^2 on the torus,
-    where the modes must also stay below the Nyquist wavenumber.
+    The cap is 25% of (n-1)^2 on the square and of 2 n^2 on the torus.
+    Within it the torus modes stay below the Nyquist wavenumber n // 2
+    (their largest component is at most 0.86 n // 2 for nx 8 to 160).
     """
     dim = (n - 1) ** 2 if kind == SQUARE else 2 * n * n
     if m > dim // 4:
         raise ValueError(f"m = {m} exceeds the spectral-accuracy cap {dim // 4} "
                          f"(25% of {dim}) of the {kind} at nx = {n}")
-    if kind != SQUARE:
-        _torus_wavevectors(m, n)
 
 
 def _start_count(m):
@@ -390,8 +371,12 @@ def _mirror_parities(ustack, vstack):
 # ---------------------------------------------------------------------------
 
 
-def _torus_wavevectors(m, n):
-    """First ceil(m/2) canonical wavevectors ordered by (|k|^2, k1, k2)."""
+def _torus_wavevectors(m):
+    """First ceil(m/2) canonical wavevectors ordered by (|k|^2, k1, k2).
+
+    The full shells |k| <= kmax, sorted, share this prefix for every
+    kmax that holds enough of them, so kmax may grow by doubling.
+    """
     kmax = 1
     while True:
         cands = []
@@ -403,24 +388,16 @@ def _torus_wavevectors(m, n):
         cands.sort()
         cands = [c for c in cands if c[0] <= kmax * kmax]  # full shells only
         if 2 * len(cands) >= m:
-            picked = cands[: (m + 1) // 2]
-            needed = max(max(abs(c[1]), abs(c[2])) for c in picked)
-            if needed >= n // 2:
-                raise ValueError(
-                    f"m = {m} needs wavenumber {needed}, at or beyond the "
-                    f"Nyquist limit of nx = {n}"
-                )
-            return picked
-        kmax += 1
+            return cands[: (m + 1) // 2]
+        kmax *= 2
 
 
 def _torus_eigenbasis(grid, m):
-    n = grid.nx
     xu, yu = grid.uface_coords()
     xv, yv = grid.vface_coords()
     scale = 1.0 / np.sqrt(2.0 * np.pi**2)
     vals, ustack, vstack = [], [], []
-    for lam, k1, k2 in _torus_wavevectors(m, n):
+    for lam, k1, k2 in _torus_wavevectors(m):
         norm = np.sqrt(float(lam))
         d1, d2 = -k2 / norm, k1 / norm
         for trig in (np.cos, np.sin):

@@ -71,8 +71,12 @@ class StabilityReport:
     times: np.ndarray
     z_norms: np.ndarray
     envelope: np.ndarray
-    max_ratio: float
+    ratios: np.ndarray
     monotone: bool
+
+    @property
+    def max_ratio(self):
+        return float(self.ratios.max())
 
     def passed(self, tol_stab=0.05):
         return self.max_ratio <= 1.0 + tol_stab and self.monotone
@@ -202,8 +206,8 @@ def stability_experiment(config, v0, w0, lift, basis, tensors=None, m_radius=Non
     Solves from both initial coefficient states as one stacked pair, forms
     z_n = c_v(n) - c_w(n), and reports the worst ratio of ||z(t_n)||
     (V-norm) to ||z(0)|| exp(-nu t_n), plus whether the norm sequence is
-    monotone non-increasing.  Identical states are reported with ratio 0
-    rather than 0/0.
+    monotone non-increasing.  The ratio is 0 wherever the envelope is,
+    so identical states are reported with ratio 0 rather than 0/0.
     """
     traj = solve(config, GalerkinState(0.0, np.stack([v0.c, w0.c])), lift, basis,
                  tensors=tensors)
@@ -216,10 +220,8 @@ def stability_experiment(config, v0, w0, lift, basis, tensors=None, m_radius=Non
 
     z_norms = vnorm(traj.coeffs[:, 0] - traj.coeffs[:, 1], traj.lam)
     envelope = z_norms[0] * np.exp(-config.nu * traj.times)
-    if z_norms[0] == 0.0:
-        ratios = np.zeros_like(z_norms)
-    else:
-        ratios = z_norms / envelope
+    ratios = np.divide(z_norms, envelope, out=np.zeros_like(z_norms),
+                       where=envelope > 0)
     mono = bool(np.all(np.diff(z_norms) <= 1e-15 * max(z_norms[0], 1.0)))
     return StabilityReport(times=traj.times, z_norms=z_norms, envelope=envelope,
-                           max_ratio=float(ratios.max()), monotone=mono)
+                           ratios=ratios, monotone=mono)

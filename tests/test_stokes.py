@@ -14,9 +14,10 @@ import pytest
 import scipy.linalg
 
 from reproflow import stokes
-from reproflow.fields import Grid, divergence, inner_l2
+from reproflow.fields import Grid, VectorField, divergence, inner_h1, inner_l2
 from reproflow.stokes import (
-    _cache_path, _mirror_parities, _square_pencil, compute_eigenbasis,
+    LerayProjector, _cache_path, _mirror_parities, _square_pencil,
+    check_mode_count, compute_eigenbasis,
 )
 
 # dense-oracle values, shift-invert sparse and dense eigensolves agree
@@ -117,6 +118,45 @@ def test_cache_round_trip_and_corruption(tmp_path):
 def test_gram_is_identity(basis32):
     g = basis32.gram()
     assert np.abs(g - np.eye(len(basis32.eigenvalues))).max() <= 1e-10
+
+
+@pytest.mark.parametrize("kind", ["square", "torus"])
+def test_projector_identities(kind):
+    grid = Grid(kind, 24)
+    proj = LerayProjector(grid)
+    rng = np.random.default_rng(4)
+    # every sample random, the wall-normal ones of the square included
+    a, b = (VectorField(grid, rng.standard_normal(grid.shape_u()),
+                        rng.standard_normal(grid.shape_v())) for _ in range(2))
+    pa, pb = proj.project(a), proj.project(b)
+    ppa = proj.project(pa)
+    scale = np.abs(pa.u).max()
+    assert max(np.abs(ppa.u - pa.u).max(), np.abs(ppa.v - pa.v).max()) <= 1e-12 * scale
+    assert np.abs(divergence(pa).values).max() <= 1e-11 * scale / grid.h
+    if kind == "square":
+        assert min(np.abs(a.u[[0, -1]]).min(), np.abs(a.v[:, [0, -1]]).min()) > 0
+        assert pa.wall_normal_max() == 0.0
+    lhs, rhs = inner_l2(pa, b), inner_l2(a, pb)
+    assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+
+
+def test_h1_gram_of_square_basis_is_eigenvalues(basis48):
+    modes = [basis48.mode(j) for j in range(basis48.m)]
+    gram = np.array([[inner_h1(wi, wj) for wj in modes] for wi in modes])
+    lam = basis48.eigenvalues
+    assert np.abs(gram - np.diag(lam)).max() <= 1e-12 * lam[-1]
+
+
+def test_torus_modes_stay_below_nyquist_at_the_cap():
+    # no torus input can reach the Nyquist wavenumber; a wider cap fails here
+    for nx in range(8, 161):
+        cap = 2 * nx * nx // 4
+        check_mode_count("torus", nx, cap)
+        with pytest.raises(ValueError):
+            check_mode_count("torus", nx, cap + 1)
+        needed = max(max(abs(k1), abs(k2))
+                     for _, k1, k2 in stokes._torus_wavevectors(cap))
+        assert needed < nx // 2, nx
 
 
 def test_mode_l2_normalized(basis48):

@@ -123,6 +123,7 @@ def test_stability_decay(config32, lift32, basis32, tensors32):
     assert rep.passed(0.05)
     assert rep.monotone
     assert rep.z_norms[-1] < rep.z_norms[0]
+    assert np.array_equal(rep.ratios, rep.z_norms / rep.envelope)
 
 
 def test_stability_is_one_stacked_solve(monkeypatch, config32, lift32, basis32,
@@ -154,6 +155,7 @@ def test_stability_identical_states(config32, lift32, basis32, tensors32):
     rep = stability_experiment(config32, v0, v0.copy(), lift32, basis32,
                                tensors=tensors32, m_radius=0.05)
     assert rep.max_ratio == 0.0
+    assert not rep.ratios.any()
     assert rep.passed()
 
 

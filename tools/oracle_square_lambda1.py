@@ -10,11 +10,15 @@ Two independent checks:
 Run:  python tools/oracle_square_lambda1.py
 """
 
+import sys
+
 import numpy as np
 import scipy.linalg
 
-from reproflow.fields import Grid
-from reproflow.stokes import _square_pencil, compute_eigenbasis
+sys.path.insert(0, "src")
+
+from reproflow.fields import Grid  # noqa: E402
+from reproflow.stokes import _square_pencil, compute_eigenbasis  # noqa: E402
 
 
 def dense_lambda(nx, k=4):
