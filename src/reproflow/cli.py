@@ -30,7 +30,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .fields import Grid, divergence
+from .fields import SQUARE, Grid, divergence
 from .galerkin import (
     BlowupDetected,
     ConfigError,
@@ -95,7 +95,6 @@ SCHEMA = {
         "dt": (1e-3, float),
         "m": (32, int),
         "epsilon": (0.4, float),
-        "grid_kind": ("square", str),
         "nx": (48, int),
     },
     "boundary": {
@@ -223,15 +222,13 @@ def parse_config(path, out_override=None, seed_override=None):
     except ConfigError as exc:
         raise ConfigFileError(f"solver: {exc}")
     try:
-        check_mode_count(solver.grid_kind, solver.nx, solver.m)
+        check_mode_count(solver.nx, solver.m)
     except ValueError as exc:
         raise ConfigFileError(f"solver.m: {exc}")
 
     b = out["boundary"]
     if b["profile"] is not None and b["table"] is not None:
         raise ConfigFileError("boundary: give profile or table, not both")
-    if solver.grid_kind == "torus" and (b["profile"] or b["table"]):
-        raise ConfigFileError("boundary: the torus has no walls to carry data")
     if out["experiment"] in ("lift", "reproductive") and not (b["profile"] or b["table"]):
         raise ConfigFileError(
             f"boundary: the {out['experiment']} experiment needs wall data "
@@ -294,7 +291,7 @@ class RunContext:
         os.makedirs(self.outdir, exist_ok=True)
         self.cache_dir = os.environ.get(CACHE_ENV) or os.path.join(self.outdir, "cache")
         self.outputs = []
-        self.grid = Grid(config.solver.grid_kind, config.solver.nx)
+        self.grid = Grid(SQUARE, config.solver.nx)
 
     def path(self, name):
         self.outputs.append(name)
@@ -365,7 +362,7 @@ def _run_eigs(ctx):
     orth = basis.orthonormality_error()
     eigres = float(basis.eigen_residuals().max())
     passed = orth <= 1e-10 and eigres <= 1e-8
-    # on the square each such pair is an even-odd mode, then its transpose
+    # each such pair is an even-odd mode, then its transpose
     lam = basis.eigenvalues
     degenerate = [[j, j + 1] for j in range(len(lam) - 1)
                   if abs(lam[j + 1] - lam[j]) <= 1e-10 * abs(lam[j + 1])]

@@ -1,10 +1,6 @@
 """Staggered (MAC) grids, discrete fields, and the vector-calculus operators.
 
-Two domains are supported:
-
-* ``square`` -- the unit square [0,1] x [0,1] with solid walls, h = 1/nx,
-* ``torus``  -- the 2*pi-periodic box, h = 2*pi/nx, used as an analytic
-  oracle domain (no boundary).
+The domain is the unit square [0,1] x [0,1] with solid walls, h = 1/nx.
 
 Layout (indices are [i, j] with i along x and j along y)::
 
@@ -14,9 +10,9 @@ Layout (indices are [i, j] with i along x and j along y)::
      |             |         p   : scalars, at cell centers ((i+.5)h, (j+.5)h)
     psi --- u --- psi
 
-On the square, arrays carry the boundary samples: u is (nx+1, ny) including
-the wall-normal faces i = 0 and i = nx, v is (nx, ny+1), nodal scalars are
-(nx+1, ny+1).  On the torus every array is (nx, ny) with wraparound.
+Arrays carry the boundary samples: u is (nx+1, ny) including the
+wall-normal faces i = 0 and i = nx, v is (nx, ny+1), nodal scalars are
+(nx+1, ny+1).
 
 The one identity everything downstream leans on: the divergence of a discrete
 curl is *exactly* zero, because both are plain difference quotients of the
@@ -28,11 +24,6 @@ All operators here are pure functions over immutable inputs.
 import numpy as np
 
 SQUARE = "square"
-TORUS = "torus"
-
-
-class NoBoundaryError(Exception):
-    """Raised when a wall-distance quantity is requested on the torus."""
 
 
 class GridMismatchError(Exception):
@@ -40,36 +31,31 @@ class GridMismatchError(Exception):
 
 
 class Grid:
-    """Uniform MAC grid on the unit square (walls) or the 2*pi torus.
+    """Uniform MAC grid on the unit square.
 
     Parameters
     ----------
     kind : str
-        ``"square"`` or ``"torus"``.
+        ``"square"``, the only domain; snapshots and cache keys record it.
     nx : int
         Cells per direction (cells are square, ny = nx).
     """
 
     def __init__(self, kind, nx):
-        if kind not in (SQUARE, TORUS):
+        if kind != SQUARE:
             raise ValueError(f"unknown grid kind {kind!r}")
         if nx < 4:
             raise ValueError(f"nx = {nx} is too coarse")
         self.kind = kind
         self.nx = int(nx)
         self.ny = int(nx)
-        self.length = 1.0 if kind == SQUARE else 2.0 * np.pi
-        self.h = self.length / self.nx
+        self.h = 1.0 / self.nx
 
     # -- coordinates ------------------------------------------------------
 
     def node_coords(self):
-        """(x, y) meshgrids of node positions, shape (nx+1, ny+1) / (nx, ny)."""
-        n = self.nx
-        if self.kind == SQUARE:
-            s = np.arange(n + 1) * self.h
-        else:
-            s = np.arange(n) * self.h
+        """(x, y) meshgrids of node positions, shape (nx+1, ny+1)."""
+        s = np.arange(self.nx + 1) * self.h
         return np.meshgrid(s, s, indexing="ij")
 
     def center_coords(self):
@@ -79,22 +65,20 @@ class Grid:
 
     def uface_coords(self):
         n = self.nx
-        xs = np.arange(n + 1 if self.kind == SQUARE else n) * self.h
+        xs = np.arange(n + 1) * self.h
         ys = (np.arange(n) + 0.5) * self.h
         return np.meshgrid(xs, ys, indexing="ij")
 
     def vface_coords(self):
         n = self.nx
         xs = (np.arange(n) + 0.5) * self.h
-        ys = np.arange(n + 1 if self.kind == SQUARE else n) * self.h
+        ys = np.arange(n + 1) * self.h
         return np.meshgrid(xs, ys, indexing="ij")
 
     # -- wall distance ----------------------------------------------------
 
     def rho_nodes(self):
-        """Distance to the nearest wall at every node (square only)."""
-        if self.kind != SQUARE:
-            raise NoBoundaryError("the torus has no boundary, rho is undefined")
+        """Distance to the nearest wall at every node."""
         x, y = self.node_coords()
         return np.minimum(np.minimum(x, 1.0 - x), np.minimum(y, 1.0 - y))
 
@@ -104,19 +88,13 @@ class Grid:
         return (self.nx, self.ny)
 
     def shape_node(self):
-        if self.kind == SQUARE:
-            return (self.nx + 1, self.ny + 1)
-        return (self.nx, self.ny)
+        return (self.nx + 1, self.ny + 1)
 
     def shape_u(self):
-        if self.kind == SQUARE:
-            return (self.nx + 1, self.ny)
-        return (self.nx, self.ny)
+        return (self.nx + 1, self.ny)
 
     def shape_v(self):
-        if self.kind == SQUARE:
-            return (self.nx, self.ny + 1)
-        return (self.nx, self.ny)
+        return (self.nx, self.ny + 1)
 
     def __eq__(self, other):
         return (
@@ -200,9 +178,7 @@ class VectorField:
         return self * (-1.0)
 
     def wall_normal_max(self):
-        """max |u.n| over wall faces (square); 0 on the torus."""
-        if self.grid.kind != SQUARE:
-            return 0.0
+        """max |u.n| over wall faces."""
         return max(
             np.abs(self.u[0, :]).max(),
             np.abs(self.u[-1, :]).max(),
@@ -235,10 +211,7 @@ def divergence(w):
     """
     g = w.grid
     h = g.h
-    if g.kind == SQUARE:
-        d = (w.u[1:, :] - w.u[:-1, :]) / h + (w.v[:, 1:] - w.v[:, :-1]) / h
-    else:
-        d = (np.roll(w.u, -1, axis=0) - w.u) / h + (np.roll(w.v, -1, axis=1) - w.v) / h
+    d = (w.u[1:, :] - w.u[:-1, :]) / h + (w.v[:, 1:] - w.v[:, :-1]) / h
     return ScalarField(g, d, loc="center")
 
 
@@ -253,34 +226,26 @@ def rot(psi):
     g = psi.grid
     h = g.h
     p = psi.values
-    if g.kind == SQUARE:
-        u = (p[:, 1:] - p[:, :-1]) / h
-        v = -(p[1:, :] - p[:-1, :]) / h
-    else:
-        u = (np.roll(p, -1, axis=1) - p) / h
-        v = -(np.roll(p, -1, axis=0) - p) / h
+    u = (p[:, 1:] - p[:, :-1]) / h
+    v = -(p[1:, :] - p[:-1, :]) / h
     return VectorField(g, u, v)
 
 
 def gradient(phi):
     """Centered gradient of a center scalar onto interior faces.
 
-    On the square the wall-normal faces get 0 (they are either constrained
-    or handled by the caller's boundary data).
+    The wall-normal faces get 0 (they are either constrained or handled by
+    the caller's boundary data).
     """
     if phi.loc != "center":
         raise ValueError("gradient expects a center-sampled scalar")
     g = phi.grid
     h = g.h
     p = phi.values
-    if g.kind == SQUARE:
-        gu = np.zeros(g.shape_u())
-        gv = np.zeros(g.shape_v())
-        gu[1:-1, :] = (p[1:, :] - p[:-1, :]) / h
-        gv[:, 1:-1] = (p[:, 1:] - p[:, :-1]) / h
-    else:
-        gu = (p - np.roll(p, 1, axis=0)) / h
-        gv = (p - np.roll(p, 1, axis=1)) / h
+    gu = np.zeros(g.shape_u())
+    gv = np.zeros(g.shape_v())
+    gu[1:-1, :] = (p[1:, :] - p[:-1, :]) / h
+    gv[:, 1:-1] = (p[:, 1:] - p[:, :-1]) / h
     return VectorField(g, gu, gv)
 
 
@@ -313,14 +278,6 @@ def _lap_1d(a, axis, h, bc):
     return (ext[tuple(sl_hi)] - 2.0 * ext[tuple(sl_mid)] + ext[tuple(sl_lo)]) / h**2
 
 
-def _lap_periodic(a, h):
-    return (
-        np.roll(a, -1, axis=0) + np.roll(a, 1, axis=0)
-        + np.roll(a, -1, axis=1) + np.roll(a, 1, axis=1)
-        - 4.0 * a
-    ) / h**2
-
-
 def laplacian(field, bc="noslip"):
     """Five-point Laplacian of a vector field (second order).
 
@@ -328,21 +285,17 @@ def laplacian(field, bc="noslip"):
     ----------
     field : VectorField
     bc : str
-        Wall closure on the square, chosen by the caller:
+        Wall closure, chosen by the caller:
         ``"noslip"`` -- odd-mirror ghosts for tangential velocity components,
         wall values kept for normal ones; the operator whose eigenpairs the
         Stokes basis consists of.  ``"extrapolate"`` -- one-sided quadratic
         ghosts, for fields with nonzero tangential wall traces (the lift).
-        Ignored on the torus (wraparound).
 
-    On the square the output at wall-normal faces is set to 0 -- those are
-    constrained samples, not degrees of freedom.
+    The output at wall-normal faces is set to 0 -- those are constrained
+    samples, not degrees of freedom.
     """
     g = field.grid
     h = g.h
-    if g.kind == TORUS:
-        return VectorField(g, _lap_periodic(field.u, h), _lap_periodic(field.v, h))
-
     u, v = field.u, field.v
     lu = np.zeros_like(u)
     # normal (x) direction: interior faces see their neighbors, walls are data
@@ -359,15 +312,13 @@ def laplacian(field, bc="noslip"):
 # ---------------------------------------------------------------------------
 
 
-def _centered(a, axis, h, periodic):
+def _centered(a, axis, h):
     """Centered first derivative along ``axis`` (leading batch axes allowed).
 
-    On walls (square, along the tangential direction) a second-order
-    one-sided formula is used instead of a ghost: correct for both
-    wall-vanishing fields and lift fields with nonzero traces.
+    On walls (along the tangential direction) a second-order one-sided
+    formula is used instead of a ghost: correct for both wall-vanishing
+    fields and lift fields with nonzero traces.
     """
-    if periodic:
-        return (np.roll(a, -1, axis=axis) - np.roll(a, 1, axis=axis)) / (2 * h)
     axis %= a.ndim
     out = np.empty_like(a)
     sl = lambda s: tuple(s if k == axis else slice(None) for k in range(a.ndim))
@@ -381,11 +332,6 @@ def _centered(a, axis, h, periodic):
 
 def _v_at_ufaces(v, g):
     """Interpolate y-velocity samples v (..., v-face shape) to the u faces."""
-    if g.kind == TORUS:
-        vim = np.roll(v, 1, axis=-2)          # v[i-1, j]
-        return 0.25 * (
-            v + np.roll(v, -1, axis=-1) + vim + np.roll(vim, -1, axis=-1)
-        )
     out = np.zeros(v.shape[:-2] + g.shape_u())
     # interior faces, shape (..., nx-1, ny)
     slab = 0.25 * (v[..., :-1, :-1] + v[..., :-1, 1:] + v[..., 1:, :-1] + v[..., 1:, 1:])
@@ -398,11 +344,6 @@ def _v_at_ufaces(v, g):
 
 def _u_at_vfaces(u, g):
     """Interpolate x-velocity samples u (..., u-face shape) to the v faces."""
-    if g.kind == TORUS:
-        ujm = np.roll(u, 1, axis=-1)
-        return 0.25 * (
-            u + np.roll(u, -1, axis=-2) + ujm + np.roll(ujm, -1, axis=-2)
-        )
     out = np.zeros(u.shape[:-2] + g.shape_v())
     # interior faces, shape (..., nx, ny-1)
     slab = 0.25 * (u[..., :-1, :-1] + u[..., 1:, :-1] + u[..., :-1, 1:] + u[..., 1:, 1:])
@@ -427,34 +368,32 @@ def gradient_stencils(u, v, g):
     (du/dx, du/dy, dv/dx, dv/dy), each on its own component's faces;
     u and v may carry leading batch axes.
     """
-    h, per = g.h, g.kind == TORUS
-    return (_centered(u, -2, h, per), _centered(u, -1, h, per),
-            _centered(v, -2, h, per), _centered(v, -1, h, per))
+    h = g.h
+    return _centered(u, -2, h), _centered(u, -1, h), _centered(v, -2, h), _centered(v, -1, h)
 
 
 def advect_into(out_u, out_v, a, db, g):
     """(a . grad) b from the stencils of a and b, written into out_u/out_v.
 
     `a` is a `transport_stencils` tuple and `db` a `gradient_stencils`
-    tuple; leading batch axes broadcast.  Wall faces of the square are
-    set to 0, as in `advect`.
+    tuple; leading batch axes broadcast.  Wall faces are set to 0, as in
+    `advect`.
     """
     au, av_u, au_v, av = a
     dbu_dx, dbu_dy, dbv_dx, dbv_dy = db
     np.add(au * dbu_dx, av_u * dbu_dy, out=out_u)
     np.add(au_v * dbv_dx, av * dbv_dy, out=out_v)
-    if g.kind == SQUARE:
-        out_u[..., 0, :] = 0.0
-        out_u[..., -1, :] = 0.0
-        out_v[..., 0] = 0.0
-        out_v[..., -1] = 0.0
+    out_u[..., 0, :] = 0.0
+    out_u[..., -1, :] = 0.0
+    out_v[..., 0] = 0.0
+    out_v[..., -1] = 0.0
 
 
 def advect(a, b):
     """(a . grad) b at the MAC faces, second-order centered.
 
-    On the square the result is only meaningful on interior faces (wall
-    faces are set to 0); every integral taken against it pairs with fields
+    The result is only meaningful on interior faces (wall faces are set
+    to 0); every integral taken against it pairs with fields
     whose wall-normal samples vanish, so this costs nothing.
     """
     g = _same_grid(a, b)
@@ -486,11 +425,11 @@ def norm_l2(a):
 def inner_h1(a, b):
     """Gradient (V-norm) inner product ((a, b)) = -(Lap a, b).
 
-    Lap is the no-slip Laplacian on the square (the periodic one on the
-    torus), whose eigenpairs the Stokes basis consists of, so Stokes
-    eigenmodes satisfy ((w_i, w_j)) = lambda_i delta_ij to rounding.  On
-    the square this is a symmetric gradient form only for fields whose
-    wall-normal samples vanish, as those of V_h and of the lift do.
+    Lap is the no-slip Laplacian, whose eigenpairs the Stokes basis
+    consists of, so Stokes eigenmodes satisfy ((w_i, w_j)) = lambda_i
+    delta_ij to rounding.  This is a symmetric gradient form only for
+    fields whose wall-normal samples vanish, as those of V_h and of the
+    lift do.
     """
     return -inner_l2(laplacian(a, bc="noslip"), b)
 
@@ -511,7 +450,7 @@ def trilinear(u, v, w):
 
 
 def tangential_trace(w):
-    """Extrapolated tangential velocity on each wall of the square.
+    """Extrapolated tangential velocity on each wall.
 
     Returns a dict keyed bottom/right/top/left with the tangential component
     (oriented counterclockwise) at the wall *face* positions, obtained by
@@ -522,9 +461,6 @@ def tangential_trace(w):
 
     Counterclockwise tangents: bottom +x, right +y, top -x, left -y.
     """
-    g = w.grid
-    if g.kind != SQUARE:
-        raise NoBoundaryError("traces are a wall concept")
     u, v = w.u, w.v
     e = lambda a0, a1, a2: (15.0 * a0 - 10.0 * a1 + 3.0 * a2) / 8.0
     return {

@@ -12,10 +12,6 @@ import dataclasses
 import numpy as np
 
 from .fields import (
-    SQUARE,
-    TORUS,
-    ScalarField,
-    VectorField,
     advect,
     advect_into,
     divergence,
@@ -29,7 +25,7 @@ from .fields import (
     transport_stencils,
 )
 from .lift import compute_forcing
-from .stokes import LerayProjector, _torus_wavenumbers
+from .stokes import LerayProjector
 
 
 class ConfigError(ValueError):
@@ -60,7 +56,6 @@ class SolverConfig:
     dt: float
     m: int
     epsilon: float = 0.4
-    grid_kind: str = SQUARE
     nx: int = 48
 
     def n_steps(self):
@@ -79,8 +74,6 @@ def validate_config(config):
         raise ConfigError(f"m must be at least 1, got {config.m}")
     if not 0.0 < config.epsilon <= 1.0:
         raise ConfigError(f"epsilon must lie in (0, 1], got {config.epsilon}")
-    if config.grid_kind not in (SQUARE, TORUS):
-        raise ConfigError(f"grid_kind must be square or torus, got {config.grid_kind}")
     if config.nx < 8:
         raise ConfigError(f"nx must be at least 8, got {config.nx}")
     n = config.T / config.dt
@@ -250,25 +243,23 @@ def project_initial(v0, lift, basis):
     """Project v0 minus the lift onto the basis; returns (state, V-norm error).
 
     The initial velocity must be discretely divergence-free with zero
-    normal trace, and on the square the projected field u0 = v0 - G
-    must keep a tangential wall trace of at most TRACE_TOL times its
-    own peak, i.e. v0 must carry the lift's trace.
+    normal trace, and the projected field u0 = v0 - G must keep a
+    tangential wall trace of at most TRACE_TOL times its own peak, i.e.
+    v0 must carry the lift's trace.
     """
-    grid = basis.grid
     dv = np.abs(divergence(v0).values).max()
     if dv > 1e-8:
         raise CompatibilityError(f"initial velocity has divergence {dv:.3e}")
     u0 = v0 if lift is None else v0 - lift.G_eps
-    if grid.kind == SQUARE:
-        nmax = v0.wall_normal_max()
-        if nmax > 1e-12:
-            raise CompatibilityError(f"initial velocity has normal trace {nmax:.3e}")
-        worst = max(np.abs(a).max() for a in tangential_trace(u0).values())
-        peak = max(np.abs(u0.u).max(), np.abs(u0.v).max())
-        if worst > TRACE_TOL * peak:
-            raise CompatibilityError(
-                f"tangential trace of v0 - G is {worst:.3e}, over {TRACE_TOL} "
-                f"of its peak {peak:.3e}: v0 does not carry the wall data")
+    nmax = v0.wall_normal_max()
+    if nmax > 1e-12:
+        raise CompatibilityError(f"initial velocity has normal trace {nmax:.3e}")
+    worst = max(np.abs(a).max() for a in tangential_trace(u0).values())
+    peak = max(np.abs(u0.u).max(), np.abs(u0.v).max())
+    if worst > TRACE_TOL * peak:
+        raise CompatibilityError(
+            f"tangential trace of v0 - G is {worst:.3e}, over {TRACE_TOL} "
+            f"of its peak {peak:.3e}: v0 does not carry the wall data")
 
     c = basis.project(u0)
     resid = u0 - basis.combine(c)
@@ -398,107 +389,42 @@ def reconstruct(trajectory, basis, lift=None, n=-1):
     return u + lift.G_eps
 
 
-def _pad_coeffs(ch, n):
-    """Embed Fourier coefficients of an n-grid into a 2n-grid (zero pad)."""
-    big = np.zeros((2 * n, 2 * n), dtype=complex)
-    sh = np.fft.fftshift(ch)
-    lo = n - n // 2
-    big[lo:lo + n, lo:lo + n] = sh
-    return np.fft.ifftshift(big)
-
-
-def _spectral_pressure_torus(grid, vbar):
-    """Exact pressure of the band-limited velocity field on the torus.
-
-    The reconstructed field is a finite trig sum whose modes are
-    pointwise divergence-free, so its pressure solves
-    Lap p = -div((v.grad)v) with no time-derivative or viscous
-    contribution.  Derivatives are taken in Fourier space and the
-    quadratic products on a doubled (alias-free) grid, so the result is
-    the exact continuum pressure of the reconstruction, sampled at the
-    cell centers and normalized to zero mean.
-    """
-    n, h = grid.nx, grid.h
-    kx, ky = _torus_wavenumbers(n)
-    # true Fourier coefficients of the face-sample interpolants
-    uh = np.fft.fft2(vbar.u) * np.exp(-0.5j * ky * h) / n**2
-    vh = np.fft.fft2(vbar.v) * np.exp(-0.5j * kx * h) / n**2
-
-    kx2, ky2 = _torus_wavenumbers(2 * n)
-    stacks = []
-    for ch in (uh, vh):
-        big = _pad_coeffs(ch, n)
-        four = (2 * n) ** 2
-        stacks.append([
-            np.fft.ifft2(big).real * four,
-            np.fft.ifft2(1j * kx2 * big).real * four,
-            np.fft.ifft2(1j * ky2 * big).real * four,
-        ])
-    (u2, ux2, uy2), (v2, vx2, vy2) = stacks
-    wu = u2 * ux2 + v2 * uy2
-    wv = u2 * vx2 + v2 * vy2
-
-    div = 1j * kx2 * np.fft.fft2(wu) + 1j * ky2 * np.fft.fft2(wv)
-    ksq = kx2**2 + ky2**2
-    ksq[0, 0] = 1.0
-    phat = div / ksq          # Lap p = -div w  =>  p_hat = div_hat / |k|^2
-    phat[0, 0] = 0.0
-    p2 = np.fft.ifft2(phat).real
-    vals = p2[1::2, 1::2]     # cell centers are the odd points of the 2n grid
-    return ScalarField(grid, vals - vals.mean())
-
-
 def _momentum_residual(state_pair, basis, lift, nu):
     """Face-sampled momentum residual of a consecutive state pair.
 
-    The time derivative is the pair difference; advection and diffusion
-    are evaluated at the pair average.  What remains of the momentum
-    balance is (up to discretization) the pressure gradient.
+    r = -(dv/dt + (vbar.grad)vbar - nu Lap ubar - nu Lap G), with
+    vbar = ubar + G the pair average.  The time derivative is the pair
+    difference (G is steady).  Each part of the velocity takes its own
+    wall closure: the Galerkin part ubar the no-slip one its modes
+    satisfy, the lift G the extrapolated one for its non-zero trace.
+    The lift's forcing nu Lap G - (G.grad)G is inside these terms, not
+    added on top.  What remains of the momentum balance is (up to
+    discretization) the pressure gradient.
     """
     s0, s1 = state_pair
     dt = s1.t - s0.t
     if dt <= 0:
         raise ValueError("state pair must be consecutive in time")
-    grid = basis.grid
-    v0 = basis.combine(s0.c)
-    v1 = basis.combine(s1.c)
+    u0, u1 = basis.combine(s0.c), basis.combine(s1.c)
+    ubar = (u0 + u1) * 0.5
+    dudt = (u1 - u0) * (1.0 / dt)
+    lap = laplacian(ubar, bc="noslip")
+    vbar = ubar
     if lift is not None:
-        v0 = v0 + lift.G_eps
-        v1 = v1 + lift.G_eps
-    vbar = (v0 + v1) * 0.5
-    dvdt = (v1 - v0) * (1.0 / dt)
-
-    lap = laplacian(vbar, bc="extrapolate")
-    adv = advect(vbar, vbar)
-    ru = -(dvdt.u + adv.u - nu * lap.u)
-    rv = -(dvdt.v + adv.v - nu * lap.v)
-    if lift is not None:
-        if lift.f_eps is None:
-            compute_forcing(lift, nu)
-        ru = ru + lift.f_eps.u
-        rv = rv + lift.f_eps.v
-    return VectorField(grid, ru, rv)
+        vbar = ubar + lift.G_eps
+        lap = lap + laplacian(lift.G_eps, bc="extrapolate")
+    return -(dudt + advect(vbar, vbar) - nu * lap)
 
 
 def recover_pressure(state_pair, basis, lift, nu):
     """Pressure at the midpoint of a consecutive state pair.
 
-    Torus: the exact continuum pressure of the band-limited
-    reconstruction (no lift there).  Square: Poisson problem
-    div grad p = div r for the momentum residual r, with the wall
-    fluxes of r acting as inhomogeneous Neumann data; normalized to
-    zero mean, which pins down the free constant.
+    Poisson problem div grad p = div r for the momentum residual r, with
+    the wall fluxes of r acting as inhomogeneous Neumann data; normalized
+    to zero mean, which pins down the free constant.
     """
-    grid = basis.grid
-    if grid.kind == TORUS:
-        if lift is not None:
-            raise NotImplementedError("the torus carries no boundary lift")
-        s0, s1 = state_pair
-        vbar = (basis.combine(s0.c) + basis.combine(s1.c)) * 0.5
-        return _spectral_pressure_torus(grid, vbar)
     r = _momentum_residual(state_pair, basis, lift, nu)
-    proj = LerayProjector(grid)
-    return proj.solve_poisson(divergence(r))
+    return LerayProjector(basis.grid).solve_poisson(divergence(r))
 
 
 def momentum_residual_drop(state_pair, basis, lift, nu):

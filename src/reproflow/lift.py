@@ -15,7 +15,6 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .fields import (
-    SQUARE,
     Grid,
     ScalarField,
     VectorField,
@@ -62,8 +61,6 @@ class BoundaryData:
     """
 
     def __init__(self, grid, walls):
-        if grid.kind != SQUARE:
-            raise InvalidBoundaryData("boundary data requires a square grid")
         self.grid = grid
         self.walls = self._validate(walls)
 
@@ -191,8 +188,6 @@ def build_stream_function(g, grid):
     factorization.  The normal-slope condition enters through
     eliminated ghost nodes in the wall rows.
     """
-    if grid.kind != SQUARE:
-        raise InvalidBoundaryData("stream function lift requires a square grid")
     n, h = grid.nx, grid.h
     nn = n + 1
 
@@ -269,8 +264,6 @@ def cutoff_profile(r, epsilon):
 
 def cutoff(epsilon, grid):
     """Cutoff field theta(rho) sampled at grid nodes."""
-    if grid.kind != SQUARE:
-        raise ValueError("cutoff requires a square grid (needs wall distance)")
     vals = cutoff_profile(grid.rho_nodes(), epsilon)
     return ScalarField(grid, vals, loc="node")
 

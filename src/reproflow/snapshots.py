@@ -3,7 +3,7 @@
 One snapshot = one ``.npz`` archive with the keys
 
 ===========  =====================================================
-``kind``     grid kind, "square" or "torus"
+``kind``     grid kind, always "square"
 ``nx``       cells per direction
 ``h``        mesh spacing (redundant, for self-description)
 ``t``        sample time

@@ -1,8 +1,8 @@
-"""Leray projection and the Stokes eigenbasis.
+"""Leray projection and the Stokes eigenbasis on the unit square.
 
-Square (walls): everything is discrete.  The divergence-free, zero-trace
-space V_h is exactly the range of rot over interior nodal stream functions,
-so the Stokes eigenproblem A w = -P Lap w = lambda w reduces to the
+Everything is discrete.  The divergence-free, zero-trace space V_h is
+exactly the range of rot over interior nodal stream functions, so the
+Stokes eigenproblem A w = -P Lap w = lambda w reduces to the
 generalized symmetric problem
 
     S y = lambda M y,   S = h^2 R^T (-L) R,   M = h^2 R^T R,
@@ -22,18 +22,14 @@ Every double eigenvalue the x<->y symmetry forces is therefore a pair
 (even-odd mode, its transpose) in that order, not a rotation chosen by
 the eigensolver, and the basis does not depend on the BLAS thread count.
 
-Torus: there is no boundary and the domain exists to provide analytic
-oracles, so the eigenpairs are the closed-form solenoidal trig modes with
-*exact* eigenvalues |k|^2, and the operator application is the exact Fourier
-symbol (staggering-aware phase shifts).  Note the MAC divergence of a
-sampled trig mode vanishes identically only for axis/diagonal wavevectors
-(|k1| = |k2| or k1 k2 = 0, the shells lambda = 1, 2, 4, 8, ...); mixed
-shells such as lambda = 5 carry O(h^2) divergence, which is why oracle
-fixtures stick to m <= 12.
+The pencil is the discrete clamped-plate buckling problem, whose smallest
+eigenvalue on the unit square is 52.344691168 (Bjorstad & Tjostheim,
+Computing 63, 1999); the discrete lambda_1 converges to it at O(h^2)
+(tools/oracle_square_lambda1.py).
 
-The Poisson solves behind the projector are exact diagonalizations of the
-compact 5-point operators (DCT-II for the wall Neumann problem, FFT for the
-periodic one), so projector idempotence and div(Pu) = 0 hold to rounding.
+The Poisson solve behind the projector is an exact diagonalization of the
+compact 5-point Neumann operator (DCT-II), so projector idempotence and
+div(Pu) = 0 hold to rounding.
 """
 
 import os
@@ -44,7 +40,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .fields import (
-    SQUARE,
     ScalarField,
     VectorField,
     divergence,
@@ -64,25 +59,15 @@ class EigensolverError(Exception):
 class LerayProjector:
     """Orthogonal projection onto discretely divergence-free fields.
 
-    The pressure potential solves the compact Neumann (square) or periodic
-    (torus) 5-point Poisson problem; both solves are exact in the discrete
-    sense, so P*P = P and div(P u) = 0 to machine rounding, and P is
-    self-adjoint for the all-faces h^2 inner product.
+    The pressure potential solves the compact Neumann 5-point Poisson
+    problem; the solve is exact in the discrete sense, so P*P = P and
+    div(P u) = 0 to machine rounding, and P is self-adjoint for the
+    all-faces h^2 inner product.
     """
 
     def __init__(self, grid):
         self.grid = grid
-        n = grid.nx
-        if grid.kind == SQUARE:
-            import scipy.fft  # only user; kept off the start-up path of every run
-
-            theta = np.pi * np.arange(n) / (2.0 * n)
-            self._forward = lambda a: scipy.fft.dctn(a, type=2, norm="ortho")
-            self._inverse = lambda c: scipy.fft.idctn(c, type=2, norm="ortho")
-        else:
-            theta = np.pi * np.fft.fftfreq(n, d=1.0 / n) / n
-            self._forward = np.fft.fft2
-            self._inverse = lambda c: np.fft.ifft2(c).real
+        theta = np.pi * np.arange(grid.nx) / (2.0 * grid.nx)
         lam1d = -(4.0 / grid.h**2) * np.sin(theta) ** 2
         self._eigs = lam1d[:, None] + lam1d[None, :]
         self._eigs[0, 0] = 1.0  # pinned mean slot, see solve_poisson
@@ -94,52 +79,30 @@ class LerayProjector:
         for divergence data of flux-free fields that projection is a no-op
         up to rounding.
         """
+        import scipy.fft  # only user; kept off the start-up path of every run
+
         vals = rhs.values if isinstance(rhs, ScalarField) else np.asarray(rhs)
-        coef = self._forward(vals)
+        coef = scipy.fft.dctn(vals, type=2, norm="ortho")
         coef[0, 0] = 0.0
         coef /= self._eigs
-        return ScalarField(self.grid, self._inverse(coef), loc="center")
+        return ScalarField(self.grid, scipy.fft.idctn(coef, type=2, norm="ortho"),
+                           loc="center")
 
     def project(self, w):
-        """w - grad(phi) with Lap_h phi = div w; on the square, w's
-        wall-normal faces are zeroed first."""
-        if self.grid.kind == SQUARE:
-            w = w.copy()
-            w.u[0, :] = w.u[-1, :] = 0.0
-            w.v[:, 0] = w.v[:, -1] = 0.0
+        """w - grad(phi) with Lap_h phi = div w; w's wall-normal faces are
+        zeroed first."""
+        w = w.copy()
+        w.u[0, :] = w.u[-1, :] = 0.0
+        w.v[:, 0] = w.v[:, -1] = 0.0
         return w - gradient(self.solve_poisson(divergence(w)))
 
 
-def _torus_wavenumbers(n):
-    k = np.fft.fftfreq(n, d=1.0 / n)
-    return np.meshgrid(k, k, indexing="ij")
-
-
 def apply_stokes(w, projector=None):
-    """A w = -P Lap w.
-
-    Square: the discrete no-slip Laplacian followed by the discrete Leray
-    projection.  Torus: the exact Fourier symbol |k|^2 u - k (k . u), with
-    the half-cell staggering phases removed before mixing components; exact
-    for trigonometric fields (this is the analytic-oracle path).
-    """
-    g = w.grid
-    if g.kind == SQUARE:
-        if projector is None:
-            projector = LerayProjector(g)
-        return -1.0 * projector.project(laplacian(w, bc="noslip"))
-
-    n = g.nx
-    kx, ky = _torus_wavenumbers(n)
-    ph_u = np.exp(-0.5j * ky * g.h)
-    ph_v = np.exp(-0.5j * kx * g.h)
-    uh = np.fft.fft2(w.u) * ph_u
-    vh = np.fft.fft2(w.v) * ph_v
-    k2 = kx**2 + ky**2
-    kdotu = kx * uh + ky * vh
-    au = (k2 * uh - kx * kdotu) / ph_u
-    av = (k2 * vh - ky * kdotu) / ph_v
-    return VectorField(g, np.fft.ifft2(au).real, np.fft.ifft2(av).real)
+    """A w = -P Lap w: the discrete no-slip Laplacian followed by the
+    discrete Leray projection."""
+    if projector is None:
+        projector = LerayProjector(w.grid)
+    return -1.0 * projector.project(laplacian(w, bc="noslip"))
 
 
 class StokesBasis:
@@ -189,7 +152,7 @@ class StokesBasis:
 
     def eigen_residuals(self):
         """||A w_j - lambda_j w_j|| / lambda_j for every mode."""
-        projector = LerayProjector(self.grid) if self.grid.kind == SQUARE else None
+        projector = LerayProjector(self.grid)
         out = np.empty(self.m)
         for j in range(self.m):
             w = self.mode(j)
@@ -213,7 +176,7 @@ def _fix_signs(ustack, vstack):
 
 
 # ---------------------------------------------------------------------------
-# square: sparse generalized eigenproblem
+# sparse generalized eigenproblem
 # ---------------------------------------------------------------------------
 
 
@@ -249,17 +212,15 @@ def _square_pencil(grid):
     return s.tocsc(), mm.tocsc()
 
 
-def check_mode_count(kind, n, m):
+def check_mode_count(n, m):
     """Raise ValueError when a grid of nx = n cannot resolve m modes.
 
-    The cap is 25% of (n-1)^2 on the square and of 2 n^2 on the torus.
-    Within it the torus modes stay below the Nyquist wavenumber n // 2
-    (their largest component is at most 0.86 n // 2 for nx 8 to 160).
+    The cap is 25% of the (n-1)^2 interior stream-function nodes.
     """
-    dim = (n - 1) ** 2 if kind == SQUARE else 2 * n * n
+    dim = (n - 1) ** 2
     if m > dim // 4:
         raise ValueError(f"m = {m} exceeds the spectral-accuracy cap {dim // 4} "
-                         f"(25% of {dim}) of the {kind} at nx = {n}")
+                         f"(25% of {dim}) of the square at nx = {n}")
 
 
 def _start_count(m):
@@ -367,49 +328,6 @@ def _mirror_parities(ustack, vstack):
 
 
 # ---------------------------------------------------------------------------
-# torus: closed-form solenoidal trig modes
-# ---------------------------------------------------------------------------
-
-
-def _torus_wavevectors(m):
-    """First ceil(m/2) canonical wavevectors ordered by (|k|^2, k1, k2).
-
-    The full shells |k| <= kmax, sorted, share this prefix for every
-    kmax that holds enough of them, so kmax may grow by doubling.
-    """
-    kmax = 1
-    while True:
-        cands = []
-        for k1 in range(0, kmax + 1):
-            for k2 in range(-kmax, kmax + 1):
-                if k1 == 0 and k2 <= 0:
-                    continue
-                cands.append((k1 * k1 + k2 * k2, k1, k2))
-        cands.sort()
-        cands = [c for c in cands if c[0] <= kmax * kmax]  # full shells only
-        if 2 * len(cands) >= m:
-            return cands[: (m + 1) // 2]
-        kmax *= 2
-
-
-def _torus_eigenbasis(grid, m):
-    xu, yu = grid.uface_coords()
-    xv, yv = grid.vface_coords()
-    scale = 1.0 / np.sqrt(2.0 * np.pi**2)
-    vals, ustack, vstack = [], [], []
-    for lam, k1, k2 in _torus_wavevectors(m):
-        norm = np.sqrt(float(lam))
-        d1, d2 = -k2 / norm, k1 / norm
-        for trig in (np.cos, np.sin):
-            if len(vals) == m:
-                break
-            vals.append(float(lam))
-            ustack.append(d1 * trig(k1 * xu + k2 * yu) * scale)
-            vstack.append(d2 * trig(k1 * xv + k2 * yv) * scale)
-    return np.array(vals), np.array(ustack), np.array(vstack)
-
-
-# ---------------------------------------------------------------------------
 # public entry + cache
 # ---------------------------------------------------------------------------
 
@@ -422,35 +340,31 @@ def _cache_path(cache_dir, grid, m):
 def compute_eigenbasis(grid, m, cache_dir=None):
     """The m smallest Stokes eigenpairs on the grid, L2-orthonormal.
 
-    Deterministic.  On the square, each parity sector (module docstring)
+    Deterministic.  Each parity sector (module docstring)
     is solved from a fixed start vector, first for ceil(m/4) + 4 pairs; a
     sector whose largest computed eigenvalue is at or below the merged
     m-th, with pairs left, is solved again for twice as many.  The merge
     is a stable ascending sort in the order ee, oo, eo, oe.  Sign rule:
     first non-negligible sample positive.  With cache_dir set, results
     are stored keyed by (kind, nx, m); the loader re-verifies
-    orthonormality, on the square also one mirror parity per mode and
-    axis, and silently rebuilds a file that fails.
+    orthonormality and one mirror parity per mode and axis, and silently
+    rebuilds a file that fails.
     """
     if m < 1:
         raise ValueError("need at least one mode")
-    check_mode_count(grid.kind, grid.nx, m)
+    check_mode_count(grid.nx, m)
     path = _cache_path(cache_dir, grid, m) if cache_dir else None
     if path and os.path.exists(path):
         try:
             with np.load(path, allow_pickle=False) as d:
                 basis = StokesBasis(grid, d["eigenvalues"], d["ustack"], d["vstack"])
-            canonical = (grid.kind != SQUARE
-                         or _mirror_parities(basis.ustack, basis.vstack).all())
-            if canonical and basis.orthonormality_error() <= 1e-10:
+            if (_mirror_parities(basis.ustack, basis.vstack).all()
+                    and basis.orthonormality_error() <= 1e-10):
                 return basis
         except Exception:
             pass  # fall through to rebuild
 
-    if grid.kind == SQUARE:
-        vals, ustack, vstack = _square_eigenbasis(grid, m)
-    else:
-        vals, ustack, vstack = _torus_eigenbasis(grid, m)
+    vals, ustack, vstack = _square_eigenbasis(grid, m)
     ustack, vstack = _fix_signs(ustack, vstack)
     basis = StokesBasis(grid, vals, ustack, vstack)
 

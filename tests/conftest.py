@@ -6,7 +6,6 @@ are built once per session.  The basis cache goes to a pytest temp
 directory so test runs never touch the working tree.
 """
 
-import numpy as np
 import pytest
 
 from reproflow.fields import Grid
@@ -38,11 +37,6 @@ def square48():
 
 
 @pytest.fixture(scope="session")
-def torus64():
-    return Grid("torus", 64)
-
-
-@pytest.fixture(scope="session")
 def basis32(square32, cache_dir):
     return compute_eigenbasis(square32, 8, cache_dir=cache_dir)
 
@@ -50,11 +44,6 @@ def basis32(square32, cache_dir):
 @pytest.fixture(scope="session")
 def basis48(square48, cache_dir):
     return compute_eigenbasis(square48, 32, cache_dir=cache_dir)
-
-
-@pytest.fixture(scope="session")
-def basis_t64(torus64, cache_dir):
-    return compute_eigenbasis(torus64, 8, cache_dir=cache_dir)
 
 
 @pytest.fixture(scope="session")
@@ -76,8 +65,7 @@ def tensors48(basis48, lift48):
 
 @pytest.fixture(scope="session")
 def config48():
-    return SolverConfig(nu=1.0, T=1.0, dt=1e-3, m=32, epsilon=BUMP_EPS,
-                        grid_kind="square", nx=48)
+    return SolverConfig(nu=1.0, T=1.0, dt=1e-3, m=32, epsilon=BUMP_EPS, nx=48)
 
 
 @pytest.fixture(scope="session")
@@ -95,15 +83,5 @@ def tensors32(basis32, lift32):
 
 @pytest.fixture(scope="session")
 def config32():
-    return SolverConfig(nu=1.0, T=0.2, dt=1e-3, m=8, epsilon=BUMP_EPS,
-                        grid_kind="square", nx=32)
+    return SolverConfig(nu=1.0, T=0.2, dt=1e-3, m=8, epsilon=BUMP_EPS, nx=32)
 
-
-def taylor_green(grid, t=0.0, nu=0.1):
-    """Analytic single-vortex-array field on the torus, at face points."""
-    from reproflow.fields import VectorField
-
-    (xu, yu), (xv, yv) = grid.uface_coords(), grid.vface_coords()
-    decay = np.exp(-2.0 * nu * t)
-    return VectorField(grid, np.sin(xu) * np.cos(yu) * decay,
-                       -np.cos(xv) * np.sin(yv) * decay)

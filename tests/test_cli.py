@@ -19,8 +19,7 @@ def write_config(tmp_path, name="run.yaml", **overrides):
     cfg = {
         "experiment": "solve",
         "out": str(tmp_path / "out"),
-        "solver": {"nu": 1.0, "T": 0.05, "dt": 1e-3, "m": 6, "epsilon": 0.4,
-                   "grid_kind": "square", "nx": 24},
+        "solver": {"nu": 1.0, "T": 0.05, "dt": 1e-3, "m": 6, "epsilon": 0.4, "nx": 24},
         "boundary": {"profile": "bottom_bump", "amplitude": 0.01},
     }
     for key, val in overrides.items():
@@ -108,11 +107,12 @@ def test_bad_solver_values(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("exp, solver", [
-    ("eigs", {"grid_kind": "square", "nx": 8, "m": 32}),
-    ("solve", {"grid_kind": "torus", "nx": 8, "m": 40})],
-    ids=["square_eigs", "torus_solve"])
+    ("eigs", {"nx": 8, "m": 32}),
+    ("solve", {"nx": 8, "m": 13})],
+    ids=["square_eigs", "square_solve"])
 def test_modes_over_the_grid_cap_rejected(tmp_path, capsys, exp, solver):
-    # both used to end in an uncaught ValueError from the basis build
+    # the cap at nx = 8 is 12 modes; over it a run used to end in an
+    # uncaught ValueError from the basis build
     out = tmp_path / "out"
     path = write_config(tmp_path, experiment=exp, out=str(out), solver=solver,
                         boundary={"profile": None})
@@ -123,10 +123,11 @@ def test_modes_over_the_grid_cap_rejected(tmp_path, capsys, exp, solver):
     assert not out.exists()
 
 
-def test_torus_rejects_wall_data(tmp_path, capsys):
-    path = write_config(tmp_path, solver={"grid_kind": "torus"})
+def test_grid_kind_key_rejected(tmp_path, capsys):
+    # the unit square is the only domain, so there is no key to choose one
+    path = write_config(tmp_path, solver={"grid_kind": "square"})
     assert main(["solve", "--config", path]) == 2
-    assert "torus" in capsys.readouterr().err
+    assert "solver.grid_kind: unknown key" in capsys.readouterr().err
 
 
 def test_profile_and_table_are_exclusive(tmp_path, capsys):
@@ -238,12 +239,12 @@ def test_solve_run_artifacts_and_manifest(tmp_path, capsys):
     assert eff["seed"] == 0
 
 
-def test_torus_solve_recovers_pressure(tmp_path, capsys):
-    # a random multi-shell start spills advection outside the span, so
-    # the drop is modest; large drops belong to single-product starts
-    out = str(tmp_path / "tg_out")
+def test_square_solve_recovers_pressure(tmp_path, capsys):
+    # without wall data the run recovers the pressure, and what the
+    # momentum balance leaves after its gradient is removed is small
+    out = str(tmp_path / "p_out")
     path = write_config(tmp_path, out=out, seed=3, boundary={"profile": None},
-                        solver={"nu": 0.1, "nx": 32, "m": 8, "grid_kind": "torus"},
+                        solver={"nu": 0.1, "T": 0.1, "nx": 32, "m": 8},
                         initial={"kind": "ball", "radius": 0.2})
     rc = main(["solve", "--config", path])
     capsys.readouterr()
@@ -251,7 +252,8 @@ def test_torus_solve_recovers_pressure(tmp_path, capsys):
     man = read_manifest(out)
     assert "pressure_final.npz" in man["outputs"]
     assert os.path.exists(os.path.join(out, "pressure_final.npz"))
-    assert man["summary"]["momentum_residual_drop"] > 2.0
+    print(f"momentum residual drop {man['summary']['momentum_residual_drop']:.1f}")
+    assert man["summary"]["momentum_residual_drop"] > 100.0
 
 
 def test_lift_sweep_run(tmp_path, capsys):

@@ -20,8 +20,6 @@ from reproflow.fields import (
     trilinear,
 )
 
-from .conftest import taylor_green
-
 
 def test_grid_shapes():
     g = Grid("square", 16)
@@ -30,10 +28,9 @@ def test_grid_shapes():
     assert g.shape_v() == (16, 17)
     assert g.shape_center() == (16, 16)
     assert g.shape_node() == (17, 17)
-
-    t = Grid("torus", 16)
-    assert t.h == pytest.approx(2.0 * np.pi / 16)
-    assert t.shape_u() == t.shape_v() == t.shape_center() == (16, 16)
+    # the unit square is the only domain
+    with pytest.raises(ValueError, match="unknown grid kind"):
+        Grid("torus", 16)
 
 
 def test_grid_equality_and_mismatch():
@@ -46,50 +43,67 @@ def test_grid_equality_and_mismatch():
         u + w
 
 
-@pytest.mark.parametrize("kind", ["torus", "square"])
+def _interior_psi(grid, rng):
+    """Random nodal stream function that vanishes on the walls."""
+    psi = np.zeros(grid.shape_node())
+    psi[1:-1, 1:-1] = rng.standard_normal((grid.nx - 1, grid.ny - 1))
+    return ScalarField(grid, psi, loc="node")
+
+
+@pytest.mark.parametrize("kind", ["square"])
 def test_div_rot_is_exactly_zero(kind):
     grid = Grid(kind, 32)
-    rng = np.random.default_rng(0)
-    psi = rng.standard_normal(grid.shape_node())
-    if kind == "square":
-        psi[0, :] = psi[-1, :] = psi[:, 0] = psi[:, -1] = 0.0
-    w = rot(ScalarField(grid, psi, loc="node"))
+    w = rot(_interior_psi(grid, np.random.default_rng(0)))
     dv = np.abs(divergence(w).values).max()
     print(f"{kind}: max |div rot psi| = {dv:.3e}")
     assert dv < 1e-11
-    if kind == "square":
-        assert w.wall_normal_max() == 0.0
+    assert w.wall_normal_max() == 0.0
 
 
-def test_div_grad_adjointness_torus():
-    # (grad p, w) = -(p, div w) exactly on the periodic staggered grid
-    grid = Grid("torus", 24)
+def test_div_grad_adjointness_square():
+    # (grad p, w) = -(p, div w) exactly for w with zero wall-normal faces
+    grid = Grid("square", 24)
     rng = np.random.default_rng(1)
     p = ScalarField(grid, rng.standard_normal(grid.shape_center()))
     w = VectorField(grid, rng.standard_normal(grid.shape_u()),
                     rng.standard_normal(grid.shape_v()))
-    gp = gradient(p)
-    lhs = inner_l2(gp, w)
-    rhs = -grid.h**2 * np.sum(p.values * divergence(w).values)
+    w.u[[0, -1], :] = 0.0
+    w.v[:, [0, -1]] = 0.0
+    lhs = inner_l2(gradient(p), w)
+    rhs = -inner_l2(p, divergence(w))
+    print(f"(grad p, w) = {lhs:.6e}, -(p, div w) = {rhs:.6e}")
     assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
 
 
+def _sin4(t, k):
+    """k-th derivative of sin^4(pi t), k = 0..3."""
+    s, c, pi = np.sin(np.pi * t), np.cos(np.pi * t), np.pi
+    return (s**4, 4 * pi * s**3 * c, 4 * pi**2 * (3 * s**2 * c**2 - s**4),
+            4 * pi**3 * (6 * s * c**3 - 10 * s**3 * c))[k]
+
+
 def test_laplacian_and_advection_second_order():
+    # w = rot(psi) for psi = sin^4(pi x) sin^4(pi y), sampled exactly at the
+    # faces: u = S(x) S'(y), v = -S'(x) S(y); the derivatives are exact and
+    # compared on interior faces, where both operators are defined
     print(f"\n{'nx':>6} {'lap err':>12} {'ratio':>7} {'adv err':>12} {'ratio':>7}")
+    S = _sin4
     errs_l, errs_a = [], []
     for nx in (16, 32, 64, 128):
-        grid = Grid("torus", nx)
-        w = taylor_green(grid)
+        grid = Grid("square", nx)
         (xu, yu), (xv, yv) = grid.uface_coords(), grid.vface_coords()
+        w = VectorField(grid, S(xu, 0) * S(yu, 1), -S(xv, 1) * S(yv, 0))
 
-        lap = laplacian(w)
-        el = max(np.abs(lap.u + 2.0 * np.sin(xu) * np.cos(yu)).max(),
-                 np.abs(lap.v - 2.0 * np.cos(xv) * np.sin(yv)).max())
+        lap = laplacian(w, bc="noslip")
+        el = max(np.abs(lap.u - S(xu, 2) * S(yu, 1) - S(xu, 0) * S(yu, 3))[1:-1].max(),
+                 np.abs(lap.v + S(xv, 3) * S(yv, 0) + S(xv, 1) * S(yv, 2))[:, 1:-1].max())
+        # (w.grad)w with u_x = S'S', u_y = S S'', v_x = -S''S, v_y = -S'S'
         adv = advect(w, w)
-        # self-transport of the vortex array is the pure gradient
-        # -(1/4) grad(cos 2x + cos 2y)
-        ea = max(np.abs(adv.u - 0.5 * np.sin(2.0 * xu)).max(),
-                 np.abs(adv.v - 0.5 * np.sin(2.0 * yv)).max())
+        v_at_u, u_at_v = -S(xu, 1) * S(yu, 0), S(xv, 0) * S(yv, 1)
+        want_u = w.u * S(xu, 1) * S(yu, 1) + v_at_u * S(xu, 0) * S(yu, 2)
+        want_v = -u_at_v * S(xv, 2) * S(yv, 0) - w.v * S(xv, 1) * S(yv, 1)
+        ea = max(np.abs(adv.u - want_u)[1:-1].max(),
+                 np.abs(adv.v - want_v)[:, 1:-1].max())
         rl = errs_l[-1] / el if errs_l else 0.0
         ra = errs_a[-1] / ea if errs_a else 0.0
         print(f"{nx:>6} {el:>12.3e} {rl:>7.2f} {ea:>12.3e} {ra:>7.2f}")
@@ -101,31 +115,29 @@ def test_laplacian_and_advection_second_order():
 
 
 def test_quadrature_exact_on_trig():
-    # midpoint quadrature of trig products on the torus is exact
-    grid = Grid("torus", 64)
-    w = taylor_green(grid)
-    l2 = inner_l2(w, w)
-    assert l2 == pytest.approx(2.0 * np.pi**2, rel=1e-14)
-    # discrete H1 of the sampled field carries the difference symbol,
-    # 2 sin^2(h/2)/(h/2)^2 per direction, not the continuum factor 2
+    # u = sin(a pi x) sin(b pi y) vanishes on the x-walls and is odd about
+    # the y-walls, so the no-slip closure is exact for it and the midpoint
+    # sums are exact: |u|^2 = 1/4, and the discrete H1 form carries the
+    # difference symbols sigma_k = (2 sin(k pi h/2)/h)^2, not (k pi)^2
+    grid = Grid("square", 64)
     h = grid.h
-    sym = 2.0 * (2.0 * np.sin(h / 2.0) / h) ** 2
+    (xu, yu), (xv, yv) = grid.uface_coords(), grid.vface_coords()
+    w = VectorField(grid, np.sin(2 * np.pi * xu) * np.sin(3 * np.pi * yu),
+                    np.zeros(grid.shape_v()))
+    l2 = inner_l2(w, w)
+    assert l2 == pytest.approx(0.25, rel=1e-14)
+    sym = sum((2.0 * np.sin(k * np.pi * h / 2.0) / h) ** 2 for k in (2, 3))
     assert inner_h1(w, w) / l2 == pytest.approx(sym, rel=1e-12)
 
 
-@pytest.mark.parametrize("kind", ["torus", "square"])
+@pytest.mark.parametrize("kind", ["square"])
 def test_trilinear_vanishes_on_repeated_argument(kind):
     grid = Grid(kind, 24)
     rng = np.random.default_rng(42)
     worst = 0.0
     for _ in range(100):
-        pu = rng.standard_normal(grid.shape_node())
-        pv = rng.standard_normal(grid.shape_node())
-        if kind == "square":
-            for p in (pu, pv):
-                p[0, :] = p[-1, :] = p[:, 0] = p[:, -1] = 0.0
-        u = rot(ScalarField(grid, pu, loc="node"))
-        v = rot(ScalarField(grid, pv, loc="node"))
+        u = rot(_interior_psi(grid, rng))
+        v = rot(_interior_psi(grid, rng))
         scale = norm_l2(u) * np.sqrt(inner_h1(v, v)) * norm_l2(v)
         worst = max(worst, abs(trilinear(u, v, v)) / max(scale, 1e-30))
     print(f"{kind}: worst relative |b(u, v, v)| = {worst:.3e}")
@@ -134,11 +146,9 @@ def test_trilinear_vanishes_on_repeated_argument(kind):
 
 def test_trilinear_antisymmetric_pair():
     # b(u, v, w) = -b(u, w, v) for solenoidal zero-normal-trace u
-    grid = Grid("torus", 24)
+    grid = Grid("square", 24)
     rng = np.random.default_rng(3)
-    u = rot(ScalarField(grid, rng.standard_normal(grid.shape_node()), loc="node"))
-    v = rot(ScalarField(grid, rng.standard_normal(grid.shape_node()), loc="node"))
-    w = rot(ScalarField(grid, rng.standard_normal(grid.shape_node()), loc="node"))
+    u, v, w = (rot(_interior_psi(grid, rng)) for _ in range(3))
     a = trilinear(u, v, w)
     b = trilinear(u, w, v)
     assert abs(a + b) < 1e-12 * max(1.0, abs(a))
@@ -157,7 +167,7 @@ def test_tangential_trace_reads_wall_rows():
 
 
 def test_field_algebra():
-    grid = Grid("torus", 8)
+    grid = Grid("square", 8)
     rng = np.random.default_rng(5)
     a = VectorField(grid, rng.standard_normal(grid.shape_u()),
                     rng.standard_normal(grid.shape_v()))

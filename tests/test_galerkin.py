@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from reproflow import galerkin
-from reproflow.fields import Grid, advect, divergence, inner_h1, inner_l2
+from reproflow.fields import Grid, advect, divergence, inner_l2
 from reproflow.galerkin import (
     BlowupDetected,
     CompatibilityError,
@@ -30,17 +30,14 @@ from reproflow.galerkin import (
     validate_config,
 )
 from reproflow.lift import boundary_profile, build_lift
-from reproflow.stokes import compute_eigenbasis
-
-from .conftest import taylor_green
+from reproflow.stokes import LerayProjector, compute_eigenbasis
 
 
 def test_validate_config_rejections():
-    good = dict(nu=1.0, T=1.0, dt=1e-3, m=4, epsilon=0.4,
-                grid_kind="square", nx=16)
+    good = dict(nu=1.0, T=1.0, dt=1e-3, m=4, epsilon=0.4, nx=16)
     validate_config(SolverConfig(**good))
     for bad in (dict(nu=-1.0), dict(dt=0.3), dict(T=-2.0), dict(m=0),
-                dict(grid_kind="sphere"), dict(nx=3), dict(epsilon=0.0)):
+                dict(nx=3), dict(epsilon=0.0)):
         with pytest.raises(ConfigError):
             validate_config(SolverConfig(**{**good, **bad}))
 
@@ -111,12 +108,11 @@ def square16_13():
     return grid, compute_eigenbasis(grid, 13)
 
 
-@pytest.mark.parametrize("case", ["square_bump", "torus_no_lift"])
-def test_blocked_assembly_matches_pairwise_advect(request, case, square16_13):
-    if case == "torus_no_lift":
-        basis, lift = request.getfixturevalue("basis_t64"), None
-    else:
-        grid, basis = square16_13
+@pytest.mark.parametrize("case", ["square_bump", "square_no_lift"])
+def test_blocked_assembly_matches_pairwise_advect(case, square16_13):
+    grid, basis = square16_13
+    lift = None
+    if case == "square_bump":
         lift = build_lift(boundary_profile(grid, "bottom_bump", amplitude=1e-2), 0.4, grid)
     got = assemble_tensors(basis, lift, nu=1.0)
     want = _reference_tensors(basis, lift)
@@ -217,21 +213,20 @@ def test_dt_bound_monotone_and_enforced(tensors32, config32):
 
 
 def test_step_is_second_order():
-    # self-convergence against a 2048-step reference on a nonlinear run
-    grid = Grid("torus", 32)
+    # self-convergence against a 4096-step reference on a nonlinear run
+    grid = Grid("square", 16)
     basis = compute_eigenbasis(grid, 8)
     tensors = assemble_tensors(basis, None)
     c0 = np.array([0.9, 0.0, 0.0, 0.0, 0.5, 0.0, -0.3, 0.0])
     nu, T = 0.2, 0.25
 
     def run(n):
-        cfg = SolverConfig(nu=nu, T=T, dt=T / n, m=8, epsilon=0.4,
-                           grid_kind="torus", nx=32)
+        cfg = SolverConfig(nu=nu, T=T, dt=T / n, m=8, epsilon=0.4, nx=16)
         return solve(cfg, GalerkinState(0.0, c0.copy()), None, basis,
                      tensors=tensors).coeffs[-1]
 
-    ref = run(2048)
-    errs = [np.abs(run(n) - ref).max() for n in (32, 64, 128)]
+    ref = run(4096)
+    errs = [np.abs(run(n) - ref).max() for n in (64, 128, 256)]
     ratios = [a / b for a, b in zip(errs, errs[1:])]
     print("errs:", [f"{e:.3e}" for e in errs], "ratios:",
           [f"{r:.2f}" for r in ratios])
@@ -243,11 +238,10 @@ def test_linear_only_system_is_exact():
     m = 4
     tensors = Tensors(B=np.zeros((m, m, m)), D=np.zeros((m, m)),
                       E=np.zeros((m, m)), F=np.zeros(m), lam=lam)
-    cfg = SolverConfig(nu=0.7, T=1.0, dt=0.25, m=m, epsilon=0.4,
-                       grid_kind="torus", nx=8)
+    cfg = SolverConfig(nu=0.7, T=1.0, dt=0.25, m=m, epsilon=0.4, nx=8)
     c0 = np.array([1.0, -2.0, 0.5, 3.0])
     traj = solve(cfg, GalerkinState(0.0, c0), None,
-                 compute_eigenbasis(Grid("torus", 8), 4), tensors=tensors)
+                 compute_eigenbasis(Grid("square", 8), 4), tensors=tensors)
     want = c0 * np.exp(-0.7 * lam * 1.0)
     dev = np.abs(traj.coeffs[-1] - want).max()
     print(f"linear-only final deviation {dev:.3e}")
@@ -258,8 +252,7 @@ def test_blowup_detected_with_partial_history(basis32):
     m = 2
     tensors = Tensors(B=np.zeros((m, m, m)), D=-40.0 * np.eye(m),
                       E=np.zeros((m, m)), F=np.zeros(m), lam=np.zeros(m))
-    cfg = SolverConfig(nu=1.0, T=1.0, dt=1e-3, m=m, epsilon=0.4,
-                       grid_kind="square", nx=32)
+    cfg = SolverConfig(nu=1.0, T=1.0, dt=1e-3, m=m, epsilon=0.4, nx=32)
     with pytest.raises(BlowupDetected) as info:
         solve(cfg, GalerkinState(0.0, np.ones(m)), None, basis32,
               tensors=tensors)
@@ -330,15 +323,6 @@ def test_project_initial_accepts_lift_trace_at_unit_amplitude(square48, basis48)
     assert err <= 1e-10
 
 
-def test_taylor_green_projection_is_tight(torus64, basis_t64):
-    v0 = taylor_green(torus64)
-    state, err = project_initial(v0, None, basis_t64)
-    resid = v0 - basis_t64.combine(state.c)
-    vres = np.sqrt(max(inner_h1(resid, resid), 0.0))
-    print(f"projection V-norm residual {vres:.3e} (reported {err:.3e})")
-    assert vres <= 1e-12
-
-
 def test_reconstruction_is_divergence_free(basis32, lift32, tensors32, config32):
     traj = solve(config32, GalerkinState(0.0, np.zeros(8)), lift32, basis32,
                  tensors=tensors32)
@@ -349,14 +333,27 @@ def test_reconstruction_is_divergence_free(basis32, lift32, tensors32, config32)
     assert dv <= 1e-12
 
 
-def test_pressure_recovery_guards(basis_t64, basis32, lift32):
+def test_pressure_recovery_guards(basis32):
     s0 = GalerkinState(0.0, np.zeros(8))
     s1 = GalerkinState(1e-3, np.zeros(8))
-    with pytest.raises(NotImplementedError):
-        recover_pressure((s0, s1), basis_t64, lift32, nu=1.0)
-    # the square path differentiates in time, so ordering matters there
+    # the residual differentiates in time, so ordering matters
     with pytest.raises(ValueError):
         recover_pressure((s1, s0), basis32, None, nu=1.0)
+
+
+def test_lift_forcing_enters_the_pressure_once(basis48, lift48):
+    # with u = 0 the momentum residual is the lift's forcing
+    # f = nu Lap G - (G.grad)G itself, so the pressure is the Poisson
+    # solve of div f; counting f twice doubles it
+    zero = np.zeros(basis48.m)
+    p = recover_pressure((GalerkinState(0.0, zero), GalerkinState(1e-3, zero)),
+                         basis48, lift48, nu=1.0)
+    want = LerayProjector(basis48.grid).solve_poisson(divergence(lift48.f_eps)).values
+    ratio = float(p.values.ravel() @ want.ravel() / (want.ravel() @ want.ravel()))
+    dev = np.abs(p.values - want).max() / np.abs(want).max()
+    print(f"pressure / Poisson solve of div f: ratio {ratio:.15f}, deviation {dev:.3e}")
+    assert abs(ratio - 1.0) <= 1e-12
+    assert dev <= 1e-12
 
 
 def test_step_blowup_guard():
@@ -364,7 +361,6 @@ def test_step_blowup_guard():
     tensors = Tensors(B=np.zeros((m, m, m)), D=np.zeros((m, m)),
                       E=np.zeros((m, m)), F=np.array([1e9]),
                       lam=np.zeros(m))
-    cfg = SolverConfig(nu=1.0, T=1.0, dt=1e-3, m=m, epsilon=0.4,
-                       grid_kind="torus", nx=8)
+    cfg = SolverConfig(nu=1.0, T=1.0, dt=1e-3, m=m, epsilon=0.4, nx=8)
     with pytest.raises(BlowupDetected):
         step(GalerkinState(0.0, np.array([1e5])), tensors, cfg)

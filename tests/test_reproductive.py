@@ -54,8 +54,7 @@ def test_map_l_matches_linear_decay(basis32):
     # (With the quadratic term on, low-mode products leak ~e^(-2 lam_1 T)
     # into deep modes whose own content is far below that — a relative
     # mode-wise comparison would measure the leak, not the map.)
-    cfg = SolverConfig(nu=1.0, T=1.0, dt=1e-3, m=6, epsilon=0.4,
-                       grid_kind="square", nx=32)
+    cfg = SolverConfig(nu=1.0, T=1.0, dt=1e-3, m=6, epsilon=0.4, nx=32)
     basis6 = basis32.truncate(6)
     lam = basis6.eigenvalues
     linear = Tensors(B=np.zeros((6, 6, 6)), D=np.zeros((6, 6)),

@@ -22,7 +22,7 @@ def test_vector_round_trip(tmp_path):
 
 
 def test_scalar_round_trip_keeps_location(tmp_path):
-    grid = Grid("torus", 16)
+    grid = Grid("square", 16)
     rng = np.random.default_rng(1)
     for loc, shape in (("center", grid.shape_center()), ("node", grid.shape_node())):
         s = ScalarField(grid, rng.standard_normal(shape), loc=loc)

@@ -27,8 +27,6 @@ from reproflow.verification import (
     stability_experiment,
 )
 
-from .conftest import taylor_green
-
 
 @pytest.fixture(scope="module")
 def bump_traj(config32, lift32, basis32, tensors32):
@@ -42,19 +40,20 @@ def test_poincare_constant(basis48):
     assert c == pytest.approx(1.0 / np.sqrt(basis48.eigenvalues[0]), abs=0)
 
 
-def test_energy_inequality_on_decaying_vortices(torus64, basis_t64):
-    from reproflow.galerkin import SolverConfig, project_initial
-
-    cfg = SolverConfig(nu=0.1, T=0.1, dt=1e-3, m=8, epsilon=0.4,
-                       grid_kind="torus", nx=64)
-    u0, _ = project_initial(taylor_green(torus64), None, basis_t64)
-    traj = solve(cfg, u0, None, basis_t64)
-    report = check_energy_inequality(traj, cfg.nu, poincare_constant(basis_t64))
+def test_energy_inequality_on_decaying_vortices(basis48):
+    cfg = SolverConfig(nu=0.1, T=0.1, dt=1e-3, m=32, nx=48)
+    c0 = np.random.default_rng(0).standard_normal(32)
+    c0 *= 0.2 / vnorm(c0, basis48.eigenvalues)
+    traj = solve(cfg, GalerkinState(0.0, c0), None, basis48)
+    report = check_energy_inequality(traj, cfg.nu, poincare_constant(basis48))
     for line in report.lines():
         print(line)
     assert report.passed
-    # no forcing: the balance should hold with a strict margin
-    assert report.max_violation < -1.0
+    # no forcing: d|u|^2/dt = -2 nu ||u||^2, so the lhs is close to
+    # -1.5 nu ||u_{n+1}||^2 at every step
+    worst = float((report.lhs / (cfg.nu * traj.h1sq[1:])).max())
+    print(f"worst lhs / (nu ||u_(n+1)||^2) = {worst:.4f} (gate -1.4)")
+    assert worst <= -1.4
 
 
 def test_energy_inequality_on_bump_run(bump_traj, basis32, lift32):
@@ -104,7 +103,7 @@ def test_kappa_default_is_the_calibrated_rate(basis48, lift48):
     # T = 0.5, from the last of three rng(11) draws at V-norm 0.05
     draws = np.random.default_rng(11).standard_normal((3, 32))
     draws *= 0.05 / vnorm(draws, basis48.eigenvalues)[:, None]
-    cfg = SolverConfig(nu=1.0, T=0.5, dt=1e-3, m=32, grid_kind="square", nx=48)
+    cfg = SolverConfig(nu=1.0, T=0.5, dt=1e-3, m=32, nx=48)
     kappa = calibrate_slack(cfg, GalerkinState(0.0, draws[-1]), lift48, basis48)
     print(f"calibrated kappa {kappa:.8e}, default {SCHEMA['verify']['kappa'][0]:.8e}")
     assert SCHEMA["verify"]["kappa"][0] == pytest.approx(kappa, rel=1e-6)
@@ -207,11 +206,11 @@ DEFECTS = {
 }
 
 
-@pytest.mark.parametrize("case", ["clean_square48_bump", "clean_torus64_no_lift",
+@pytest.mark.parametrize("case", ["clean_square48_bump", "clean_square48_no_lift",
                                   *DEFECTS])
-def test_tensor_audit(case, basis48, lift48, tensors48, basis_t64):
-    if case == "clean_torus64_no_lift":
-        basis, lift, tensors = basis_t64, None, assemble_tensors(basis_t64, None)
+def test_tensor_audit(case, basis48, lift48, tensors48):
+    if case == "clean_square48_no_lift":
+        basis, lift, tensors = basis48, None, assemble_tensors(basis48, None)
     else:
         basis, lift, tensors = basis48, lift48, tensors48
     if case in DEFECTS:

@@ -56,7 +56,7 @@ print(f"measured g-norm = {budget_raw.g_norm:.8e}")
 print(f"measured f-norm = {budget_raw.f_norm:.8e}")
 
 # attractor scale: V-norm of L(0)
-cfg = SolverConfig(nu=NU, T=T, dt=DT, m=M_MODES, grid_kind="square", nx=NX)
+cfg = SolverConfig(nu=NU, T=T, dt=DT, m=M_MODES, nx=NX)
 t0 = time.time()
 l0 = map_L(GalerkinState(0.0, np.zeros(M_MODES)), cfg, lift, basis, tensors=tensors)
 t_solve = time.time() - t0
@@ -76,7 +76,7 @@ c = draws[-1]
 print(f"dt bound at radius M: {explicit_dt_bound(tensors, c):.4e} (dt = {DT})")
 
 # kappa for the energy suite (T = 0.5 runs)
-cfg_e = SolverConfig(nu=NU, T=0.5, dt=DT, m=M_MODES, grid_kind="square", nx=NX)
+cfg_e = SolverConfig(nu=NU, T=0.5, dt=DT, m=M_MODES, nx=NX)
 u0 = GalerkinState(0.0, c)  # last draw, radius M
 t0 = time.time()
 kappa = calibrate_slack(cfg_e, u0, lift, basis)
