@@ -151,68 +151,115 @@ def _flat(w):
 # while every matrix product still has BLOCK rows
 BLOCK = 8
 
+# the (x, y) stream-function mirror parities of the four mode classes, in
+# the order of the eigensolve's sectors: even-even, odd-odd, even-odd, odd-even
+PARITY_CLASSES = ((1, 1), (-1, -1), (1, -1), (-1, 1))
+
+
+def _class_order(basis):
+    """Mode indices sorted by parity class, and each class's slice of them.
+
+    Raises ValueError naming the first mode that lacks a single mirror
+    parity on some axis: the selection rule of B does not hold for it.
+    """
+    par = basis.parities
+    bad = np.flatnonzero((par == 0).any(axis=1))
+    if bad.size:
+        raise ValueError(f"mode {bad[0]} has no single mirror parity on some axis, "
+                         f"so B's selection rule cannot be applied")
+    members = [np.flatnonzero((par == cls).all(axis=1)) for cls in PARITY_CLASSES]
+    order = np.concatenate(members)
+    stops = np.cumsum([len(idx) for idx in members])
+    rows = {cls: slice(stop - len(idx), stop)
+            for cls, idx, stop in zip(PARITY_CLASSES, members, stops)}
+    return order, rows
+
 
 def assemble_tensors(basis, lift, nu=None):
     """All coefficient-system tensors for a basis and (optional) lift.
 
-    The sweep runs over blocks of 8 transported modes w_l.  Per block it
+    Every mode's stream function has one mirror parity per axis, and the
+    discrete advection form is mirror-equivariant, so B[i, l, j] can be
+    non-zero only when the parities of i, l and j multiply to -1 on each
+    axis: a quarter of the triples (Bossavit, Comput. Methods Appl. Mech.
+    Engrg. 56, 1986).  The sweep computes only that quarter; the other
+    entries of B are exact zeros.
+
+    The modes are ordered by parity class, so that each class is a
+    contiguous row slice of the (m, N) mode matrix.  The sweep runs over
+    blocks of up to 8 transported modes w_l from one class.  Per block it
     takes the derivative stacks of the block's modes once.  Per
     transporting mode w_i it writes the block's advections
-    advect(w_i, w_l) into one (8, N) buffer and pairs that with every
-    mode and with the lift field G in one matrix product each: a block
-    of rows of B, and of R[i, j] = (advect(w_i, w_j), G).  The same
-    block then gives advect(w_l, G) for D and advect(G, w_l) for E.
-    Working memory beyond the basis is block-sized: it does not grow
-    with m*N.  `nu` is needed exactly when the lift's forcing has not
-    been attached yet.
+    advect(w_i, w_l) into one (8, N) buffer and pairs that in one matrix
+    product with the single class of modes w_j that the selection rule
+    allows, and in one more with the lift field G: a block of rows of B,
+    and of R[i, j] = (advect(w_i, w_j), G).  The same block then gives
+    advect(w_l, G) for D and advect(G, w_l) for E, against every mode,
+    since G has no mirror parity.  Working memory beyond the basis is
+    block-sized: it does not grow with m*N.  `nu` is needed exactly when
+    the lift's forcing has not been attached yet.
     """
     m = len(basis.eigenvalues)
     lam = basis.eigenvalues.copy()
     g = basis.grid
     w2 = g.h**2
+    order, rows = _class_order(basis)
 
     if lift is not None and lift.f_eps is None:
         if nu is None:
             raise ValueError("lift has no forcing attached; pass nu")
         compute_forcing(lift, nu)
 
+    # everything below runs in class order and is put back in mode order last
     ustack, vstack = basis.ustack, basis.vstack
-    flat = np.concatenate([ustack.reshape(m, -1), vstack.reshape(m, -1)], axis=1)
     n_ufaces = ustack[0].size
+    flat = np.empty((m, n_ufaces + vstack[0].size))
+    for row, j in enumerate(order):
+        flat[row, :n_ufaces] = ustack[j].ravel()
+        flat[row, n_ufaces:] = vstack[j].ravel()
+    uflat = flat[:, :n_ufaces].reshape((m,) + g.shape_u())
+    vflat = flat[:, n_ufaces:].reshape((m,) + g.shape_v())
+    par = basis.parities[order].tolist()
     buf = np.empty((BLOCK, flat.shape[1]))
     # face-shaped views of the buffer's rows, written by advect_into
     bu = buf[:, :n_ufaces].reshape((BLOCK,) + g.shape_u())
     bv = buf[:, n_ufaces:].reshape((BLOCK,) + g.shape_v())
-    t1 = np.empty((m, m, m))
+    t1 = np.zeros((m, m, m))
     r = np.empty((m, m))
     s = np.empty((m, m))       # (advect(w_i, G), w_j)
     half = np.empty((m, m))    # (advect(G, w_i), w_j)
     if lift is not None:
         gu, gv = lift.G_eps.u, lift.G_eps.v
         gmat = _flat(lift.G_eps)[None, :]
-    for lo in range(0, m, BLOCK):
-        blk = slice(lo, min(lo + BLOCK, m))
-        k = blk.stop - lo
-        ub, vb = ustack[blk], vstack[blk]
-        grads = gradient_stencils(ub, vb, g)
-        for i in range(m):
-            advect_into(bu[:k], bv[:k], transport_stencils(ustack[i], vstack[i], g), grads, g)
-            t1[i, blk] = w2 * (buf[:k] @ flat.T)
+    for cls, cls_rows in rows.items():
+        for lo in range(cls_rows.start, cls_rows.stop, BLOCK):
+            blk = slice(lo, min(lo + BLOCK, cls_rows.stop))
+            k = blk.stop - lo
+            ub, vb = uflat[blk], vflat[blk]
+            grads = gradient_stencils(ub, vb, g)
+            for i in range(m):
+                advect_into(bu[:k], bv[:k], transport_stencils(uflat[i], vflat[i], g),
+                            grads, g)
+                allowed = rows[(-par[i][0] * cls[0], -par[i][1] * cls[1])]
+                t1[i, blk, allowed] = w2 * (buf[:k] @ flat[allowed].T)
+                if lift is not None:
+                    r[i, blk] = w2 * (gmat @ buf[:k].T)[0]
             if lift is not None:
-                r[i, blk] = w2 * (gmat @ buf[:k].T)[0]
-        if lift is not None:
-            advect_into(bu[:k], bv[:k], transport_stencils(ub, vb, g),
-                        gradient_stencils(gu, gv, g), g)
-            s[blk] = w2 * (buf[:k] @ flat.T)
-            advect_into(bu[:k], bv[:k], transport_stencils(gu, gv, g), grads, g)
-            half[blk] = w2 * (buf[:k] @ flat.T)
+                advect_into(bu[:k], bv[:k], transport_stencils(ub, vb, g),
+                            gradient_stencils(gu, gv, g), g)
+                s[blk] = w2 * (buf[:k] @ flat.T)
+                advect_into(bu[:k], bv[:k], transport_stencils(gu, gv, g), grads, g)
+                half[blk] = w2 * (buf[:k] @ flat.T)
+    mode_order = np.argsort(order)
+    t1 = t1[np.ix_(mode_order, mode_order, mode_order)]
     b = 0.5 * (t1 - t1.transpose(0, 2, 1))
 
     if lift is None:
         return Tensors(B=b, D=np.zeros((m, m)), E=np.zeros((m, m)),
                        F=np.zeros(m), lam=lam)
-    return Tensors(B=b, D=0.5 * (s - r), E=0.5 * (half - half.T),
-                   F=w2 * (flat @ _flat(lift.f_eps)), lam=lam)
+    pair = np.ix_(mode_order, mode_order)
+    return Tensors(B=b, D=0.5 * (s - r)[pair], E=0.5 * (half - half.T)[pair],
+                   F=w2 * (flat @ _flat(lift.f_eps))[mode_order], lam=lam)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ compact 5-point Neumann operator (DCT-II), so projector idempotence and
 div(Pu) = 0 hold to rounding.
 """
 
+import functools
 import os
 
 import numpy as np
@@ -117,6 +118,12 @@ class StokesBasis:
 
     def mode(self, j):
         return VectorField(self.grid, self.ustack[j], self.vstack[j])
+
+    @functools.cached_property
+    def parities(self):
+        """(m, 2) mirror parities of the modes' stream functions, computed
+        once per basis: see `_mirror_parities`."""
+        return _mirror_parities(self.ustack, self.vstack)
 
     def project(self, w):
         """Coefficients c_j = (w, w_j) of the L2 projection onto the span."""
@@ -358,7 +365,7 @@ def compute_eigenbasis(grid, m, cache_dir=None):
         try:
             with np.load(path, allow_pickle=False) as d:
                 basis = StokesBasis(grid, d["eigenvalues"], d["ustack"], d["vstack"])
-            if (_mirror_parities(basis.ustack, basis.vstack).all()
+            if (basis.parities.all()
                     and basis.orthonormality_error() <= 1e-10):
                 return basis
         except Exception:

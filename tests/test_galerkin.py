@@ -30,7 +30,7 @@ from reproflow.galerkin import (
     validate_config,
 )
 from reproflow.lift import boundary_profile, build_lift
-from reproflow.stokes import LerayProjector, compute_eigenbasis
+from reproflow.stokes import LerayProjector, StokesBasis, compute_eigenbasis
 
 
 def test_validate_config_rejections():
@@ -120,6 +120,38 @@ def test_blocked_assembly_matches_pairwise_advect(case, square16_13):
             for name, ref in zip("BDEF", want) if ref is not None}
     print(case, ", ".join(f"{name} {dev:.3e}" for name, dev in devs.items()))
     assert all(dev <= 1e-12 for dev in devs.values())   # NaN fails too
+
+
+def test_selection_rule_of_b(square16_13):
+    # the field forms obey the rule, and the sweep keeps exactly the rest
+    _, basis = square16_13
+    want = _reference_tensors(basis, None)[0]
+    got = assemble_tensors(basis, None).B
+    p = basis.parities
+    # the parities of i, l and j multiply to -1 on both axes
+    allowed = (p[:, None, None] * p[None, :, None] * p[None, None, :] == -1).all(axis=-1)
+    forbidden = np.abs(want[~allowed]).max() / np.abs(want).max()
+    kept = np.linalg.norm(got[allowed] - want[allowed]) / np.linalg.norm(want[allowed])
+    print(f"allowed {allowed.mean():.3f}, forbidden field forms {forbidden:.3e} max|B|, "
+          f"kept entries {kept:.3e}")
+    assert forbidden <= 1e-13
+    assert kept <= 1e-12
+    assert not got[~allowed].any()
+
+
+def test_assembly_refuses_modes_without_a_parity():
+    grid = Grid("square", 12)
+    basis = compute_eigenbasis(grid, 3)
+    # a 30 degree rotation inside the degenerate even-odd / odd-even pair
+    c, s = np.cos(np.pi / 6), np.sin(np.pi / 6)
+    u, v = basis.ustack.copy(), basis.vstack.copy()
+    for stack in (u, v):
+        w1, w2 = stack[1].copy(), stack[2].copy()
+        stack[1], stack[2] = c * w1 - s * w2, s * w1 + c * w2
+    rotated = StokesBasis(grid, basis.eigenvalues, u, v)
+    assert rotated.orthonormality_error() <= 1e-10
+    with pytest.raises(ValueError, match="mode 1 has no single mirror parity"):
+        assemble_tensors(rotated, None)
 
 
 def _reference_rhs(c, tensors, nu):
