@@ -28,17 +28,18 @@ Computing 63, 1999); the discrete lambda_1 converges to it at O(h^2)
 (tools/oracle_square_lambda1.py).
 
 The Poisson solve behind the projector is an exact diagonalization of the
-compact 5-point Neumann operator (DCT-II), so projector idempotence and
-div(Pu) = 0 hold to rounding.
+compact 5-point Neumann operator by orthonormal DCT-II matrices, so
+projector idempotence and div(Pu) = 0 hold to rounding.
+
+scipy is imported only inside the eigenbasis build (`_square_pencil`,
+`_parity_maps`, `_square_eigenbasis`), so a run whose basis comes from the
+cache loads no scipy module.
 """
 
 import functools
 import os
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .fields import (
     ScalarField,
@@ -68,10 +69,14 @@ class LerayProjector:
 
     def __init__(self, grid):
         self.grid = grid
-        theta = np.pi * np.arange(grid.nx) / (2.0 * grid.nx)
+        k = np.arange(grid.nx)
+        theta = np.pi * k / (2.0 * grid.nx)
         lam1d = -(4.0 / grid.h**2) * np.sin(theta) ** 2
         self._eigs = lam1d[:, None] + lam1d[None, :]
         self._eigs[0, 0] = 1.0  # pinned mean slot, see solve_poisson
+        # orthonormal DCT-II: row k samples cos(k pi x) at the cell centers
+        self._dct = np.sqrt(2.0 / grid.nx) * np.cos(np.outer(theta, 2 * k + 1))
+        self._dct[0] /= np.sqrt(2.0)
 
     def solve_poisson(self, rhs):
         """phi with Lap_h phi = rhs (centers), mean(phi) = 0.
@@ -80,14 +85,11 @@ class LerayProjector:
         for divergence data of flux-free fields that projection is a no-op
         up to rounding.
         """
-        import scipy.fft  # only user; kept off the start-up path of every run
-
         vals = rhs.values if isinstance(rhs, ScalarField) else np.asarray(rhs)
-        coef = scipy.fft.dctn(vals, type=2, norm="ortho")
+        coef = self._dct @ vals @ self._dct.T
         coef[0, 0] = 0.0
         coef /= self._eigs
-        return ScalarField(self.grid, scipy.fft.idctn(coef, type=2, norm="ortho"),
-                           loc="center")
+        return ScalarField(self.grid, self._dct.T @ coef @ self._dct, loc="center")
 
     def project(self, w):
         """w - grad(phi) with Lap_h phi = div w; w's wall-normal faces are
@@ -189,6 +191,8 @@ def _fix_signs(ustack, vstack):
 
 def _square_pencil(grid):
     """Sparse (S, M) of the stream-function-reduced Stokes eigenproblem."""
+    import scipy.sparse as sp
+
     n = grid.nx
     h = grid.h
     einj = sp.eye(n + 1, format="csr")[:, 1:-1]          # (n+1) x (n-1) injection
@@ -243,6 +247,8 @@ def _parity_maps(size):
     rounded 2^-1/2 of orthonormal maps would perturb each one, which the
     pencil amplifies to eigenvalue errors near 7e-11 at nx = 96.
     """
+    import scipy.sparse as sp
+
     eye = sp.eye(size, format="csc")
     return {"even": (eye + eye[::-1])[:, :(size + 1) // 2],
             "odd": (eye - eye[::-1])[:, :size // 2]}
@@ -254,6 +260,10 @@ SECTORS = (("even", "even"), ("odd", "odd"), ("even", "odd"))
 
 
 def _square_eigenbasis(grid, m):
+    import scipy.linalg
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     n = grid.nx
     s, mm = _square_pencil(grid)
     maps = _parity_maps(n - 1)
@@ -323,14 +333,15 @@ def _mirror_parities(ustack, vstack):
     A stream function even in x gives u even and v odd under the x-mirror;
     one even in y gives u odd and v even under the y-mirror.
     """
-    scale = np.maximum(np.abs(ustack).max(axis=(1, 2)), np.abs(vstack).max(axis=(1, 2)))
     out = np.zeros((len(ustack), 2), dtype=int)
-    for axis, sign in ((0, 1), (1, -1)):
-        fu, fv = np.flip(ustack, axis + 1), np.flip(vstack, axis + 1)
-        for p in (1, -1):
-            err = np.maximum(np.abs(fu - sign * p * ustack).max(axis=(1, 2)),
-                             np.abs(fv + sign * p * vstack).max(axis=(1, 2)))
-            out[err <= 1e-8 * scale, axis] = p
+    for j, (u, v) in enumerate(zip(ustack, vstack)):
+        scale = max(np.abs(u).max(), np.abs(v).max())
+        for axis, sign in ((0, 1), (1, -1)):
+            fu, fv = np.flip(u, axis), np.flip(v, axis)
+            for p in (1, -1):
+                err = max(np.abs(fu - sign * p * u).max(), np.abs(fv + sign * p * v).max())
+                if err <= 1e-8 * scale:
+                    out[j, axis] = p
     return out
 
 

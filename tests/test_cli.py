@@ -13,6 +13,8 @@ import yaml
 
 from reproflow import __version__, cli
 from reproflow.cli import main, parse_config, ConfigFileError
+from reproflow.fields import Grid
+from reproflow.stokes import compute_eigenbasis
 
 
 def write_config(tmp_path, name="run.yaml", **overrides):
@@ -167,15 +169,41 @@ def test_code_version_matches_pyproject():
     assert found.group(1) == __version__
 
 
+SCIPY_MODULES = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
+
+
 def test_cli_import_does_not_load_scipy_fft():
-    # only the Leray projector needs scipy.fft; a run that never builds
-    # one should not pay for its import
+    # scipy serves only a basis build on a cache miss; importing the CLI
+    # must not load any of it
     src = os.path.dirname(os.path.dirname(os.path.abspath(main.__code__.co_filename)))
-    code = "import sys, reproflow.cli; print('scipy.fft' in sys.modules)"
+    code = f"import sys, reproflow.cli; print({SCIPY_MODULES})"
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
+
+
+def test_warm_runs_load_no_scipy(tmp_path):
+    # with the basis cached, lift, solve and verify (which reaches the Leray
+    # projector through the tensor audit) run on numpy alone
+    cache = str(tmp_path / "cache")
+    compute_eigenbasis(Grid("square", 32), 8, cache_dir=cache)
+    paths = [write_config(tmp_path, name=f"{exp}.yaml", experiment=exp,
+                          out=str(tmp_path / exp), solver={"nx": 32, "m": 8, "T": 0.1},
+                          sweep={"samples": 20})
+             for exp in ("lift", "solve", "verify")]
+    code = ("import sys\n"
+            "from reproflow.cli import main\n"
+            "codes = [main([exp, '--config', path])\n"
+            "         for exp, path in zip(('lift', 'solve', 'verify'), sys.argv[1:])]\n"
+            f"print(codes, {SCIPY_MODULES})\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(main.__code__.co_filename)))
+    env = dict(os.environ, PYTHONPATH=src, **{cli.CACHE_ENV: cache})
+    out = subprocess.run([sys.executable, "-c", code, *paths], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip().splitlines()[-1] == "[0, 0, 0] []", out.stdout + out.stderr
+    for exp in ("lift", "solve", "verify"):
+        assert read_manifest(str(tmp_path / exp))["passed"] is True
 
 
 def test_config_root_must_be_mapping(tmp_path):

@@ -8,13 +8,19 @@ built for actually shows up in samples.
 
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.linalg
 
+from reproflow import lift as lift_module
 from reproflow.fields import Grid, divergence, norm_l2, tangential_trace
 from reproflow.lift import (
+    WALLS,
     BoundaryData,
     InvalidBoundaryData,
+    SolverFailure,
     boundary_profile,
     build_lift,
+    build_stream_function,
     compute_beta,
     compute_forcing,
     cutoff_profile,
@@ -30,6 +36,91 @@ EPS_SWEEP = (0.4, 0.2, 0.1, 0.05)
 # under grid refinement (1.7e-6 at nx = 64, 4.7e-8 at nx = 256), so this
 # bound is a one-sided regression guard
 SMALLNESS_REG = 5e-6
+
+
+def _second_difference(n_nodes, h, ghost_ends):
+    """1D second difference on a node line; with ghost_ends the end rows
+    carry the eliminated ghost 6 psi_1 - 2 psi_2 + psi_3 / 3 - 4h slope."""
+    main = np.full(n_nodes, -2.0)
+    off = np.ones(n_nodes - 1)
+    d = scipy.sparse.diags([off, main, off], [-1, 0, 1], format="lil")
+    if ghost_ends:
+        d[0, 1], d[0, 2], d[0, 3] = 7.0, -2.0, 1.0 / 3.0
+        d[-1, -2], d[-1, -3], d[-1, -4] = 7.0, -2.0, 1.0 / 3.0
+    return (d / h**2).tocsr()
+
+
+def sparse_stream_function(g, grid):
+    """Reference psi: the coupled (lap psi, psi) system by sparse LU.
+
+    One step of iterative refinement follows the LU solve: without it the
+    reference itself is off a long-double solution by up to 1.4e-12 of
+    max|psi| on seeded four-wall data at nx = 96 (about 1e-15 with it).
+    """
+    n, h = grid.nx, grid.h
+    nn = n + 1
+    eye_n = scipy.sparse.identity(nn, format="csr")
+    d_ghost = _second_difference(nn, h, ghost_ends=True)
+    d_plain = _second_difference(nn, h, ghost_ends=False)
+    inj = scipy.sparse.eye(nn, format="csr").tocsc()[:, 1:-1]
+    lap_ghost = scipy.sparse.kron(d_ghost, eye_n) + scipy.sparse.kron(eye_n, d_ghost)
+    lap_full = scipy.sparse.kron(d_plain, eye_n) + scipy.sparse.kron(eye_n, d_plain)
+    inj2 = scipy.sparse.kron(inj, inj)
+    interior = np.zeros((nn, nn), dtype=bool)
+    interior[1:-1, 1:-1] = True
+    interior = interior.ravel()
+    k = scipy.sparse.bmat(
+        [[scipy.sparse.identity(nn * nn), -lap_ghost @ inj2],
+         [lap_full.tocsr()[interior], None]], format="csc")
+    bc = np.zeros((nn, nn))
+    bc[:, 0] += g.walls["bottom"]
+    bc[-1, :] += g.walls["right"]
+    bc[:, -1] += g.walls["top"]
+    bc[0, :] += g.walls["left"]
+    rhs = np.concatenate([-(4.0 / h) * bc.ravel(), np.zeros(interior.sum())])
+    lu = scipy.sparse.linalg.splu(k)
+    z = lu.solve(rhs)
+    z += lu.solve(rhs - k @ z)
+    psi = np.zeros((nn, nn))
+    psi[1:-1, 1:-1] = z[nn * nn:].reshape(n - 1, n - 1)
+    return psi
+
+
+def seeded_walls(grid, seed):
+    """Standard-normal samples on all four walls, zero inside the corner margin."""
+    rng = np.random.default_rng(seed)
+    idx = np.arange(grid.nx + 1)
+    outside = np.minimum(idx, grid.nx - idx) >= lift_module.CORNER_MARGIN_CELLS
+    return BoundaryData(grid, {name: rng.standard_normal(grid.nx + 1) * outside
+                               for name in WALLS})
+
+
+# the bump's support reaches inside the corner margin at nx = 8; white-noise
+# wall data at nx = 192 is the hardest case for the residual gate
+@pytest.mark.parametrize("nx, data", [(16, "bump"), (48, "bump"), (96, "bump"),
+                                      (8, "seeded"), (16, "seeded"), (48, "seeded"),
+                                      (96, "seeded"), (192, "seeded")])
+def test_stream_function_matches_sparse_reference(nx, data):
+    grid = Grid("square", nx)
+    if data == "bump":
+        g = boundary_profile(grid, "bottom_bump", amplitude=1.0)
+    else:
+        g = seeded_walls(grid, seed=nx)
+    ref = sparse_stream_function(g, grid)
+    psi = build_stream_function(g, grid).values
+    err = np.abs(psi - ref).max() / np.abs(ref).max()
+    print(f"nx={nx} {data}: max|psi - psi_ref| / max|psi_ref| = {err:.2e}")
+    assert err <= 1e-12
+
+
+def test_stream_function_residual_check_fails_on_a_perturbed_psi():
+    grid = Grid("square", 48)
+    bc = lift_module._wall_slopes(seeded_walls(grid, seed=3), grid)
+    omega, psi = lift_module._solve_clamped(bc, grid.h)
+    lift_module._check_clamped(omega, psi, bc, grid.h)
+    psi[17, 30] += 1e-8
+    with pytest.raises(SolverFailure):
+        lift_module._check_clamped(omega, psi, bc, grid.h)
 
 
 def test_cutoff_profile_shape():

@@ -12,6 +12,7 @@ import sys
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 
 from reproflow import stokes
 from reproflow.fields import Grid, VectorField, divergence, inner_h1, inner_l2
@@ -162,14 +163,14 @@ def test_sector_solve_matches_dense_pencil(nx):
 def test_sector_widening_finds_every_eigenvalue(nx, monkeypatch):
     # from one pair per sector, every m-th eigenvalue needs the widening loop
     solves = []
-    eigsh = stokes.spla.eigsh
+    eigsh = scipy.sparse.linalg.eigsh
 
     def counted(*args, **kwargs):
         solves.append(kwargs["k"])
         return eigsh(*args, **kwargs)
 
     monkeypatch.setattr(stokes, "_start_count", lambda m: 1)
-    monkeypatch.setattr(stokes.spla, "eigsh", counted)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counted)
     m = (nx - 1) ** 2 // 4
     got = compute_eigenbasis(Grid("square", nx), m).eigenvalues
     np.testing.assert_allclose(got, _dense_eigenvalues(nx)[:m], rtol=1e-10)
@@ -192,16 +193,47 @@ def test_degenerate_pairs_are_transposed_even_odd_modes(basis48):
 
 
 def test_basis_independent_of_start_vector(basis48, monkeypatch):
-    eigsh = stokes.spla.eigsh
+    eigsh = scipy.sparse.linalg.eigsh
+    solves = []
 
     def random_start(*args, **kwargs):
+        solves.append(kwargs["k"])
         kwargs["v0"] = np.random.default_rng(5).standard_normal(len(kwargs["v0"]))
         return eigsh(*args, **kwargs)
 
-    monkeypatch.setattr(stokes.spla, "eigsh", random_start)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", random_start)
     other = compute_eigenbasis(Grid("square", 48), 32)
+    assert len(solves) >= 3  # every sector went through the patched solver
     assert np.abs(other.ustack - basis48.ustack).max() <= 1e-10
     assert np.abs(other.vstack - basis48.vstack).max() <= 1e-10
+
+
+def _stacked_mirror_parities(ustack, vstack):
+    """`_mirror_parities` with (m, ...) temporaries, as a reference."""
+    scale = np.maximum(np.abs(ustack).max(axis=(1, 2)), np.abs(vstack).max(axis=(1, 2)))
+    out = np.zeros((len(ustack), 2), dtype=int)
+    for axis, sign in ((0, 1), (1, -1)):
+        fu, fv = np.flip(ustack, axis + 1), np.flip(vstack, axis + 1)
+        for p in (1, -1):
+            err = np.maximum(np.abs(fu - sign * p * ustack).max(axis=(1, 2)),
+                             np.abs(fv + sign * p * vstack).max(axis=(1, 2)))
+            out[err <= 1e-8 * scale, axis] = p
+    return out
+
+
+@pytest.mark.parametrize("nx, m", [(48, 32), (96, 64)])
+def test_mirror_parities_match_stacked_reference(nx, m, cache_dir):
+    basis = compute_eigenbasis(Grid("square", nx), m, cache_dir=cache_dir)
+    got = _mirror_parities(basis.ustack, basis.vstack)
+    assert got.all()
+    np.testing.assert_array_equal(got, _stacked_mirror_parities(basis.ustack, basis.vstack))
+    # a mode of neither parity is labelled 0 by both
+    u, v = basis.ustack[:2].copy(), basis.vstack[:2].copy()
+    u[0] += 0.5 * basis.ustack[1]
+    v[0] += 0.5 * basis.vstack[1]
+    mixed = _mirror_parities(u, v)
+    assert 0 in mixed[0]
+    np.testing.assert_array_equal(mixed, _stacked_mirror_parities(u, v))
 
 
 def test_basis_independent_of_blas_threads(tmp_path):
