@@ -249,6 +249,20 @@ def gradient(phi):
     return VectorField(g, gu, gv)
 
 
+def dirichlet_sine(n, h):
+    """(S, mu) for the n - 1 interior node lines of a grid of nx = n.
+
+    S is the orthonormal DST-I matrix: row k samples sin((k+1) pi x) at the
+    interior nodes, it is symmetric and its own inverse, and its last row
+    is (-1)^k times its first, so 0-based even k has an even mirror parity.
+    It diagonalizes the Dirichlet second difference, whose eigenvalues are
+    mu_k = -(4/h^2) sin^2(pi (k+1) / 2n).
+    """
+    k = np.arange(1, n)
+    s = np.sqrt(2.0 / n) * np.sin(np.pi * np.outer(k, k) / n)
+    return s, -(4.0 / h**2) * np.sin(np.pi * k / (2 * n)) ** 2
+
+
 # ---------------------------------------------------------------------------
 # Laplacians
 # ---------------------------------------------------------------------------

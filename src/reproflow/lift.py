@@ -17,6 +17,7 @@ from .fields import (
     ScalarField,
     VectorField,
     advect,
+    dirichlet_sine,
     inner_h1,
     laplacian,
     rot,
@@ -167,16 +168,6 @@ _WALL_GEOMETRY = (
 )
 
 
-def _sine_matrix(size):
-    """Orthonormal DST-I matrix of a line of `size` interior nodes.
-
-    It diagonalizes the Dirichlet second difference, and it is symmetric
-    and its own inverse.
-    """
-    k = np.arange(1, size + 1)
-    return np.sqrt(2.0 / (size + 1)) * np.sin(np.pi * np.outer(k, k) / (size + 1))
-
-
 def _ghost_laplacian(a, h):
     """5-point Laplacian of a node array whose wall rows read the eliminated
     ghost, exact through quartics; its slope part is data."""
@@ -210,8 +201,7 @@ def _solve_clamped(bc, h):
     residual check reads omega.
     """
     n = bc.shape[0] - 1
-    s = _sine_matrix(n - 1)
-    mu = -(4.0 / h**2) * np.sin(np.pi * np.arange(1, n) / (2 * n)) ** 2
+    s, mu = dirichlet_sine(n, h)
     lam = mu[:, None] + mu[None, :]  # eigenvalues of L
     inv2 = lam**-2
     # E and K of each wall in the sine basis along its normal

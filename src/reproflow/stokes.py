@@ -12,28 +12,36 @@ Laplacian.  Because A maps V_h into V_h and the reduction is a genuine
 Galerkin identity (not an approximation), the eigenresiduals of the
 reconstructed modes are solver rounding, orders below the contracted 1e-8.
 
-The pencil commutes exactly with the x-mirror, the y-mirror and the x<->y
-transpose of the interior stream-function grid, so it splits into four
-mirror-parity sectors (Bossavit, Comput. Methods Appl. Mech. Engrg. 56,
-1986).  Three are solved by shift-invert, each a quarter of the size (or
-densely, when too small for ARPACK); the odd-even sector is the transpose
-of the even-odd one, with bitwise the same eigenvalues.
-Every double eigenvalue the x<->y symmetry forces is therefore a pair
-(even-odd mode, its transpose) in that order, not a rotation chosen by
-the eigensolver, and the basis does not depend on the BLAS thread count.
-
-The pencil is the discrete clamped-plate buckling problem, whose smallest
-eigenvalue on the unit square is 52.344691168 (Bjorstad & Tjostheim,
-Computing 63, 1999); the discrete lambda_1 converges to it at O(h^2)
+It is the discrete clamped-plate buckling problem, exactly
+M = -h^2 L_D and S = h^2 (L_D^2 + W), with L_D the Dirichlet 5-point
+Laplacian of the interior nodes and W = (2/h^4) sum_walls P_w^T P_w, P_w
+the restriction to the node line next to wall w.  Its smallest eigenvalue
+on the unit square is 52.344691168 (Bjorstad & Tjostheim, Computing 63,
+1999); the discrete lambda_1 converges to it at O(h^2)
 (tools/oracle_square_lambda1.py).
+
+The pencil is solved in the sine basis y^ = S y S (`fields.dirichlet_sine`),
+where L_D is the diagonal Lambda[k, l] = mu_k + mu_l and the last line's
+sine row is (-1)^k times the first one's, a.  The mirrors and the x<->y
+transpose thus split it into four sectors of index parities (Bossavit,
+Comput. Methods Appl. Mech. Engrg. 56, 1986): row indices k all even or all
+odd, column indices l likewise, 0-based even k being an even node parity.
+In a sector W is (4/h^4)(a_r a_r^T (x) I + I (x) a_c a_c^T), of rank
+rows + cols, and with d = -Lambda > 0 the problem is
+(d^2 + W) y^ = lambda d y^.  ARPACK finds the largest eigenvalues 1/lambda
+of d^1/2 (d^2 + W)^-1 d^1/2, the inverse applied by Woodbury (Buzbee, Dorr,
+George & Golub, SIAM J. Numer. Anal. 8, 1971).  The odd-even sector is the
+transpose of the even-odd one, so every double eigenvalue the x<->y
+symmetry forces is a pair (even-odd mode, its transpose) in that order, not
+a rotation chosen by the eigensolver, whatever the BLAS thread count.
 
 The Poisson solve behind the projector is an exact diagonalization of the
 compact 5-point Neumann operator by orthonormal DCT-II matrices, so
 projector idempotence and div(Pu) = 0 hold to rounding.
 
-scipy is imported only inside the eigenbasis build (`_square_pencil`,
-`_parity_maps`, `_square_eigenbasis`), so a run whose basis comes from the
-cache loads no scipy module.
+scipy serves only ARPACK, imported inside the eigenbasis build
+(`_square_eigenbasis`) on a cache miss, so a run whose basis comes from
+the cache loads no scipy module.
 """
 
 import functools
@@ -44,14 +52,16 @@ import numpy as np
 from .fields import (
     ScalarField,
     VectorField,
+    dirichlet_sine,
     divergence,
     gradient,
+    inner_h1,
     inner_l2,
     laplacian,
     rot,
 )
 
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 
 
 class EigensolverError(Exception):
@@ -150,11 +160,9 @@ class StokesBasis:
         )
 
     def gram(self):
-        h2 = self.grid.h**2
-        return h2 * (
-            np.einsum("mij,nij->mn", self.ustack, self.ustack)
-            + np.einsum("mij,nij->mn", self.vstack, self.vstack)
-        )
+        u = self.ustack.reshape(self.m, -1)
+        v = self.vstack.reshape(self.m, -1)
+        return self.grid.h**2 * (u @ u.T + v @ v.T)
 
     def orthonormality_error(self):
         return float(np.abs(self.gram() - np.eye(self.m)).max())
@@ -185,42 +193,8 @@ def _fix_signs(ustack, vstack):
 
 
 # ---------------------------------------------------------------------------
-# sparse generalized eigenproblem
+# the clamped-plate pencil in the sine basis
 # ---------------------------------------------------------------------------
-
-
-def _square_pencil(grid):
-    """Sparse (S, M) of the stream-function-reduced Stokes eigenproblem."""
-    import scipy.sparse as sp
-
-    n = grid.nx
-    h = grid.h
-    einj = sp.eye(n + 1, format="csr")[:, 1:-1]          # (n+1) x (n-1) injection
-    d1 = sp.diags([-np.ones(n), np.ones(n)], [0, 1], shape=(n, n + 1)) / h
-
-    # rot: u = D_y psi, v = -D_x psi  (x-major flattening: kron(x-op, y-op))
-    ru = sp.kron(einj, d1 @ einj, format="csr")
-    rv = -sp.kron(d1 @ einj, einj, format="csr")
-
-    def d2_plain(sz):
-        return sp.diags(
-            [np.ones(sz - 1), -2.0 * np.ones(sz), np.ones(sz - 1)], [-1, 0, 1]
-        ) / h**2
-
-    def d2_mirror(sz):
-        d = d2_plain(sz).tolil()
-        d[0, 0] = -3.0 / h**2
-        d[sz - 1, sz - 1] = -3.0 / h**2
-        return d.tocsr()
-
-    lu = sp.kron(d2_plain(n + 1), sp.eye(n)) + sp.kron(sp.eye(n + 1), d2_mirror(n))
-    lv = sp.kron(d2_mirror(n), sp.eye(n + 1)) + sp.kron(sp.eye(n), d2_plain(n + 1))
-
-    s = h**2 * (ru.T @ (-lu) @ ru + rv.T @ (-lv) @ rv)
-    mm = h**2 * (ru.T @ ru + rv.T @ rv)
-    s = 0.5 * (s + s.T)
-    mm = 0.5 * (mm + mm.T)
-    return s.tocsc(), mm.tocsc()
 
 
 def check_mode_count(n, m):
@@ -239,92 +213,106 @@ def _start_count(m):
     return -(-m // 4) + 4
 
 
-def _parity_maps(size):
-    """Even and odd mirror-parity maps of a line of `size` nodes.
-
-    Column k is node k plus (even) or minus (odd) its mirror node size-1-k.
-    The entries are exact, so Q^T S Q only sums pencil entries: the
-    rounded 2^-1/2 of orthonormal maps would perturb each one, which the
-    pencil amplifies to eigenvalue errors near 7e-11 at nx = 96.
-    """
-    import scipy.sparse as sp
-
-    eye = sp.eye(size, format="csc")
-    return {"even": (eye + eye[::-1])[:, :(size + 1) // 2],
-            "odd": (eye - eye[::-1])[:, :size // 2]}
-
-
 # the solved sectors, as (x, y) parities of the stream function; odd-even
 # is the transpose of even-odd
 SECTORS = (("even", "even"), ("odd", "odd"), ("even", "odd"))
+PARITY_INDICES = {"even": slice(0, None, 2), "odd": slice(1, None, 2)}
+
+
+def _sector_operator(lam, ar, ac, h):
+    """y^ -> d^1/2 (d^2 + W)^-1 d^1/2 y^ on one sector's sine coefficients
+    (..., rows, cols), d = -lam, and the scale d^1/2.
+
+    W = (4/h^4) U U^T, U^T y^ = (y^^T a_r, y^ a_c), so (d^2 + W)^-1 =
+    G - G U C^-1 U^T G with G = d^-2 and C = (h^4/4) I + U^T G U, whose
+    blocks are diagonal, or G scaled by row and column.
+    """
+    root, g = np.sqrt(-lam), lam**-2
+    cross = ar[:, None] * g * ac
+    cap = np.block([[np.diag(ar**2 @ g), cross.T], [cross, np.diag(g @ ac**2)]])
+    cap[np.diag_indices_from(cap)] += h**4 / 4.0
+    cap_inv = np.linalg.inv(cap)
+
+    def apply(y):
+        x = g * (root * y)
+        pq = np.concatenate([ar @ x, x @ ac], axis=-1) @ cap_inv
+        p, q = pq[..., :len(ac)], pq[..., len(ac):]
+        x -= g * (ar[:, None] * p[..., None, :] + q[..., :, None] * ac)
+        return root * x
+
+    return apply, root
 
 
 def _square_eigenbasis(grid, m):
-    import scipy.linalg
-    import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
     n = grid.nx
-    s, mm = _square_pencil(grid)
-    maps = _parity_maps(n - 1)
+    s, mu = dirichlet_sine(n, grid.h)
     sectors = []
     for px, py in SECTORS:
-        q = sp.kron(maps[px], maps[py], format="csc")
-        sectors.append((q, (q.T @ s @ q).tocsc(), (q.T @ mm @ q).tocsc()))
+        rows, cols = PARITY_INDICES[px], PARITY_INDICES[py]
+        lam = mu[rows, None] + mu[None, cols]
+        sectors.append((rows, cols, lam.shape)
+                       + _sector_operator(lam, s[0, rows], s[0, cols], grid.h))
 
     counts = [_start_count(m)] * len(sectors)
     solved = [None] * len(sectors)
     todo = range(len(sectors))
     while todo:
         for i in todo:
-            q, ss, ms = sectors[i]
-            dim = q.shape[1]
+            _, _, shape, apply, root = sectors[i]
+            dim = shape[0] * shape[1]
             if counts[i] >= dim - 1:  # too small for ARPACK: every pair, dense
-                vals, vecs = scipy.linalg.eigh(ss.toarray(), ms.toarray())
+                eye = np.eye(dim).reshape((dim,) + shape)
+                theta, z = np.linalg.eigh(apply(eye).reshape(dim, dim))
             else:
+                op = spla.LinearOperator(
+                    (dim, dim), dtype=float,
+                    matvec=lambda y: apply(y.reshape(shape)).ravel())
                 try:
-                    vals, vecs = spla.eigsh(ss, k=counts[i], M=ms, sigma=0.0,
-                                            which="LM", v0=np.full(dim, dim**-0.5))
+                    theta, z = spla.eigsh(op, k=counts[i], which="LA",
+                                          v0=np.full(dim, dim**-0.5))
                 except spla.ArpackNoConvergence as err:  # pragma: no cover
                     raise EigensolverError(
                         f"eigensolver stalled at nx={n}, m={m}: "
                         f"{len(err.eigenvalues)} of {counts[i]} pairs converged "
                         f"in the {'-'.join(SECTORS[i])} sector"
                     ) from err
-            order = np.argsort(vals)
-            solved[i] = (vals[order], q @ vecs[:, order])
+            order = np.argsort(-theta)
+            solved[i] = (1.0 / theta[order], z[:, order].T.reshape((-1,) + shape) / root)
         # a sector that stops at or below the m-th value may hide one under it
         lam = np.sort(np.concatenate([solved[i][0] for i in (0, 1, 2, 2)]))
         lam_m = lam[m - 1] if len(lam) >= m else np.inf
         todo = [i for i, (vals, _) in enumerate(solved)
-                if len(vals) < sectors[i][0].shape[1] and vals[-1] <= lam_m]
+                if len(vals) < np.prod(sectors[i][2]) and vals[-1] <= lam_m]
         for i in todo:
             counts[i] *= 2
 
-    (lee, yee), (loo, yoo), (leo, yeo) = solved
-    yoe = yeo.reshape(n - 1, n - 1, -1).transpose(1, 0, 2).reshape(yeo.shape)
-    vals = np.concatenate([lee, loo, leo, leo])
+    # merge in the order ee, oo, eo, oe; an odd-even mode's coefficients are
+    # the transpose of its even-odd partner's
+    sources = [(sectors[i][:2], y) for i in (0, 1, 2) for y in solved[i][1]]
+    sources += [(sectors[2][1::-1], y.T) for y in solved[2][1]]
+    vals = np.concatenate([solved[i][0] for i in (0, 1, 2, 2)])
     order = np.argsort(vals, kind="stable")[:m]
-    vals = vals[order]
-    vecs = np.hstack([yee, yoo, yeo, yoe])[:, order]
+    yhat = np.zeros((m, n - 1, n - 1))
+    for j, k in enumerate(order):
+        (rows, cols), y = sources[k]
+        yhat[j, rows, cols] = y
+    psi = s @ yhat @ s
 
     ustack = np.empty((m,) + grid.shape_u())
     vstack = np.empty((m,) + grid.shape_v())
     psi_full = np.zeros(grid.shape_node())
     for j in range(m):
-        psi_full[1:-1, 1:-1] = vecs[:, j].reshape(n - 1, n - 1)
+        psi_full[1:-1, 1:-1] = psi[j]
         w = rot(ScalarField(grid, psi_full, loc="node"))
-        ustack[j] = w.u
-        vstack[j] = w.v
+        ustack[j], vstack[j] = w.u, w.v
     # the sector solves return M-orthonormal vectors; rescale exactly to unit L2
-    h2 = grid.h**2
-    nrm = np.sqrt(
-        h2 * (np.einsum("mij,mij->m", ustack, ustack)
-              + np.einsum("mij,mij->m", vstack, vstack))
-    )
+    nrm = np.sqrt(grid.h**2 * (np.einsum("mij,mij->m", ustack, ustack)
+                               + np.einsum("mij,mij->m", vstack, vstack)))
     ustack /= nrm[:, None, None]
     vstack /= nrm[:, None, None]
-    return vals, ustack, vstack
+    return vals[order], ustack, vstack
 
 
 def _mirror_parities(ustack, vstack):
@@ -355,6 +343,20 @@ def _cache_path(cache_dir, grid, m):
     return os.path.join(cache_dir, name)
 
 
+def _is_basis_of(basis, m):
+    """Whether a loaded basis holds m ascending modes of its grid, each
+    with lambda_j = ((w_j, w_j)), one mirror parity per axis, and an
+    orthonormal span."""
+    grid, lam = basis.grid, basis.eigenvalues
+    if (lam.shape != (m,) or basis.ustack.shape != (m,) + grid.shape_u()
+            or basis.vstack.shape != (m,) + grid.shape_v()
+            or np.any(np.diff(lam) < 0)):
+        return False
+    h1 = np.array([inner_h1(basis.mode(j), basis.mode(j)) for j in range(m)])
+    return bool(np.all(np.abs(h1 - lam) <= 1e-10 * np.abs(lam))
+                and basis.parities.all() and basis.orthonormality_error() <= 1e-10)
+
+
 def compute_eigenbasis(grid, m, cache_dir=None):
     """The m smallest Stokes eigenpairs on the grid, L2-orthonormal.
 
@@ -364,7 +366,8 @@ def compute_eigenbasis(grid, m, cache_dir=None):
     m-th, with pairs left, is solved again for twice as many.  The merge
     is a stable ascending sort in the order ee, oo, eo, oe.  Sign rule:
     first non-negligible sample positive.  With cache_dir set, results
-    are stored keyed by (kind, nx, m); the loader re-verifies
+    are stored keyed by (kind, nx, m); the loader re-verifies the shapes,
+    the ascending order, lambda_j = ((w_j, w_j)) to 1e-10 relative,
     orthonormality and one mirror parity per mode and axis, and silently
     rebuilds a file that fails.
     """
@@ -376,8 +379,7 @@ def compute_eigenbasis(grid, m, cache_dir=None):
         try:
             with np.load(path, allow_pickle=False) as d:
                 basis = StokesBasis(grid, d["eigenvalues"], d["ustack"], d["vstack"])
-            if (basis.parities.all()
-                    and basis.orthonormality_error() <= 1e-10):
+            if _is_basis_of(basis, m):
                 return basis
         except Exception:
             pass  # fall through to rebuild

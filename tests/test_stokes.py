@@ -12,16 +12,17 @@ import sys
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 import scipy.sparse.linalg
 
 from reproflow import stokes
 from reproflow.fields import Grid, VectorField, divergence, inner_h1, inner_l2
 from reproflow.stokes import (
-    LerayProjector, _cache_path, _mirror_parities, _square_pencil, compute_eigenbasis,
+    LerayProjector, _cache_path, _mirror_parities, compute_eigenbasis,
 )
 
-# dense-oracle values, shift-invert sparse and dense eigensolves agree
-# to ~1e-9 at these sizes
+# dense-oracle values; the sector and dense eigensolves agree to ~1e-9
+# at these sizes
 SQUARE_LAM = {
     12: [51.07029336, 87.50160259, 87.50160259],
     16: [51.61780143],
@@ -88,6 +89,29 @@ def test_deterministic_rebuild():
     assert np.array_equal(a.vstack, b.vstack)
 
 
+def _each_stack(fn):
+    return lambda p: {k: fn(v) if k in ("eigenvalues", "ustack", "vstack") else v
+                      for k, v in p.items()}
+
+
+def _other_grid(payload):
+    # nx = 16 modes, scaled to be orthonormal in the nx = 12 inner product
+    other = compute_eigenbasis(Grid("square", 16), 3)
+    return dict(payload, eigenvalues=other.eigenvalues, ustack=0.75 * other.ustack,
+                vstack=0.75 * other.vstack)
+
+
+# files that are not the basis their key names; all but the scaled modes
+# are orthonormal with one mirror parity per mode and axis
+PLANTED = {
+    "modes_scaled": lambda p: dict(p, ustack=3.0 * p["ustack"]),
+    "two_modes": _each_stack(lambda a: a[:2]),
+    "other_grid": _other_grid,
+    "descending": _each_stack(lambda a: a[::-1]),
+    "eigenvalues_doubled": lambda p: dict(p, eigenvalues=2.0 * p["eigenvalues"]),
+}
+
+
 def test_cache_round_trip_and_corruption(tmp_path):
     grid = Grid("square", 12)
     cache = str(tmp_path)
@@ -98,14 +122,16 @@ def test_cache_round_trip_and_corruption(tmp_path):
     b = compute_eigenbasis(grid, 3, cache_dir=cache)
     assert np.array_equal(a.ustack, b.ustack)
 
-    # corrupt the stored modes: the loader must notice and rebuild
+    # plant files that are not this key's basis: the loader must rebuild each
     with np.load(path, allow_pickle=False) as d:
         payload = dict(d)
-    payload["ustack"] = payload["ustack"] * 3.0
-    np.savez(path, **payload)
-    c = compute_eigenbasis(grid, 3, cache_dir=cache)
-    assert c.orthonormality_error() <= 1e-10
-    assert np.allclose(c.ustack, a.ustack)
+    for name, plant in PLANTED.items():
+        np.savez(path, **plant(payload))
+        c = compute_eigenbasis(grid, 3, cache_dir=cache)
+        assert c.orthonormality_error() <= 1e-10, name
+        assert np.array_equal(c.eigenvalues, a.eigenvalues), name
+        assert np.array_equal(c.ustack, a.ustack), name
+        assert np.array_equal(c.vstack, a.vstack), name
 
 
 def test_gram_is_identity(basis32):
@@ -143,6 +169,39 @@ def test_mode_l2_normalized(basis48):
     for j in (0, 13, 31):
         w = basis48.mode(j)
         assert inner_l2(w, w) == pytest.approx(1.0, abs=1e-12)
+
+
+def _square_pencil(grid):
+    """Sparse (S, M) of the stream-function-reduced Stokes eigenproblem,
+    assembled from rot and the no-slip Laplacian, as a reference."""
+    n = grid.nx
+    h = grid.h
+    einj = sp.eye(n + 1, format="csr")[:, 1:-1]          # (n+1) x (n-1) injection
+    d1 = sp.diags([-np.ones(n), np.ones(n)], [0, 1], shape=(n, n + 1)) / h
+
+    # rot: u = D_y psi, v = -D_x psi  (x-major flattening: kron(x-op, y-op))
+    ru = sp.kron(einj, d1 @ einj, format="csr")
+    rv = -sp.kron(d1 @ einj, einj, format="csr")
+
+    def d2_plain(sz):
+        return sp.diags(
+            [np.ones(sz - 1), -2.0 * np.ones(sz), np.ones(sz - 1)], [-1, 0, 1]
+        ) / h**2
+
+    def d2_mirror(sz):
+        d = d2_plain(sz).tolil()
+        d[0, 0] = -3.0 / h**2
+        d[sz - 1, sz - 1] = -3.0 / h**2
+        return d.tocsr()
+
+    lu = sp.kron(d2_plain(n + 1), sp.eye(n)) + sp.kron(sp.eye(n + 1), d2_mirror(n))
+    lv = sp.kron(d2_mirror(n), sp.eye(n + 1)) + sp.kron(sp.eye(n), d2_plain(n + 1))
+
+    s = h**2 * (ru.T @ (-lu) @ ru + rv.T @ (-lv) @ rv)
+    mm = h**2 * (ru.T @ ru + rv.T @ rv)
+    s = 0.5 * (s + s.T)
+    mm = 0.5 * (mm + mm.T)
+    return s.tocsc(), mm.tocsc()
 
 
 def _dense_eigenvalues(nx):
