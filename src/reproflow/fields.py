@@ -58,11 +58,6 @@ class Grid:
         s = np.arange(self.nx + 1) * self.h
         return np.meshgrid(s, s, indexing="ij")
 
-    def center_coords(self):
-        """(x, y) meshgrids of cell-center positions, shape (nx, ny)."""
-        s = (np.arange(self.nx) + 0.5) * self.h
-        return np.meshgrid(s, s, indexing="ij")
-
     def uface_coords(self):
         n = self.nx
         xs = np.arange(n + 1) * self.h

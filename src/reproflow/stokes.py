@@ -28,20 +28,20 @@ Comput. Methods Appl. Mech. Engrg. 56, 1986): row indices k all even or all
 odd, column indices l likewise, 0-based even k being an even node parity.
 In a sector W is (4/h^4)(a_r a_r^T (x) I + I (x) a_c a_c^T), of rank
 rows + cols, and with d = -Lambda > 0 the problem is
-(d^2 + W) y^ = lambda d y^.  ARPACK finds the largest eigenvalues 1/lambda
-of d^1/2 (d^2 + W)^-1 d^1/2, the inverse applied by Woodbury (Buzbee, Dorr,
-George & Golub, SIAM J. Numer. Anal. 8, 1971).  The odd-even sector is the
-transpose of the even-odd one, so every double eigenvalue the x<->y
-symmetry forces is a pair (even-odd mode, its transpose) in that order, not
-a rotation chosen by the eigensolver, whatever the BLAS thread count.
+(d^2 + W) y^ = lambda d y^.  Lanczos with full reorthogonalization
+(Parlett, The Symmetric Eigenvalue Problem, 1980) finds the largest
+eigenvalues 1/lambda of d^1/2 (d^2 + W)^-1 d^1/2, the inverse applied by
+Woodbury (Buzbee, Dorr, George & Golub, SIAM J. Numer. Anal. 8, 1971), from
+a seeded random start: the ee and oo operators commute with the transpose,
+so a transpose-symmetric start would miss half their modes.  The odd-even
+sector is the transpose of the even-odd one, so every double eigenvalue the
+x<->y symmetry forces is a pair (even-odd mode, its transpose) in that
+order, not a rotation chosen by the eigensolver, whatever the BLAS thread
+count.
 
 The Poisson solve behind the projector is an exact diagonalization of the
 compact 5-point Neumann operator by orthonormal DCT-II matrices, so
 projector idempotence and div(Pu) = 0 hold to rounding.
-
-scipy serves only ARPACK, imported inside the eigenbasis build
-(`_square_eigenbasis`) on a cache miss, so a run whose basis comes from
-the cache loads no scipy module.
 """
 
 import functools
@@ -61,7 +61,7 @@ from .fields import (
     rot,
 )
 
-CACHE_VERSION = 3
+CACHE_VERSION = 4
 
 
 class EigensolverError(Exception):
@@ -243,9 +243,38 @@ def _sector_operator(lam, ar, ac, h):
     return apply, root
 
 
-def _square_eigenbasis(grid, m):
-    import scipy.sparse.linalg as spla
+def _lanczos(apply, shape, k):
+    """The k largest eigenpairs (theta, z) of the symmetric operator `apply`
+    on arrays of `shape`: theta descending, z the (k, dim) Ritz vectors.
 
+    Two Gram-Schmidt passes against every earlier vector keep A Q = Q H + w e^T
+    with H upper Hessenberg, so |(H s - theta s, |w| s_n)| is the exact residual
+    of a Ritz pair of eigh(H, UPLO="U"), and large if A is not symmetric.  A
+    Krylov space that fills the sector gives w = 0: small sectors are exact.
+    """
+    dim = shape[0] * shape[1]
+    k, size = min(k, dim), min(dim, 8 * k + 32)
+    q, hmat = np.zeros((size, dim)), np.zeros((size + 1, size))
+    w = np.random.default_rng(0).standard_normal(dim)
+    for n in range(1, size + 1):
+        q[n - 1] = w / np.linalg.norm(w)
+        w = apply(q[n - 1].reshape(shape)).ravel()
+        hmat[:n, n - 1] = q[:n] @ w
+        w -= hmat[:n, n - 1] @ q[:n]
+        w -= (q[:n] @ w) @ q[:n]
+        hmat[n, n - 1] = np.linalg.norm(w)
+        if n >= k and (n % 8 == 0 or n == size):
+            theta, s = np.linalg.eigh(hmat[:n, :n], UPLO="U")
+            theta, s = theta[::-1][:k], s[:, ::-1][:, :k]
+            r = hmat[:n + 1, :n] @ s
+            r[:n] -= theta * s
+            resid = np.linalg.norm(r, axis=0).max() / abs(theta[0])
+            if resid <= 1e-13:
+                return theta, np.einsum("nj,nd->jd", s, q[:n])
+    raise EigensolverError(f"Lanczos stalled after {size} steps: residual {resid:.1e}")
+
+
+def _square_eigenbasis(grid, m):
     n = grid.nx
     s, mu = dirichlet_sine(n, grid.h)
     sectors = []
@@ -261,25 +290,8 @@ def _square_eigenbasis(grid, m):
     while todo:
         for i in todo:
             _, _, shape, apply, root = sectors[i]
-            dim = shape[0] * shape[1]
-            if counts[i] >= dim - 1:  # too small for ARPACK: every pair, dense
-                eye = np.eye(dim).reshape((dim,) + shape)
-                theta, z = np.linalg.eigh(apply(eye).reshape(dim, dim))
-            else:
-                op = spla.LinearOperator(
-                    (dim, dim), dtype=float,
-                    matvec=lambda y: apply(y.reshape(shape)).ravel())
-                try:
-                    theta, z = spla.eigsh(op, k=counts[i], which="LA",
-                                          v0=np.full(dim, dim**-0.5))
-                except spla.ArpackNoConvergence as err:  # pragma: no cover
-                    raise EigensolverError(
-                        f"eigensolver stalled at nx={n}, m={m}: "
-                        f"{len(err.eigenvalues)} of {counts[i]} pairs converged "
-                        f"in the {'-'.join(SECTORS[i])} sector"
-                    ) from err
-            order = np.argsort(-theta)
-            solved[i] = (1.0 / theta[order], z[:, order].T.reshape((-1,) + shape) / root)
+            theta, z = _lanczos(apply, shape, counts[i])
+            solved[i] = (1.0 / theta, z.reshape((-1,) + shape) / root)
         # a sector that stops at or below the m-th value may hide one under it
         lam = np.sort(np.concatenate([solved[i][0] for i in (0, 1, 2, 2)]))
         lam_m = lam[m - 1] if len(lam) >= m else np.inf
@@ -361,7 +373,7 @@ def compute_eigenbasis(grid, m, cache_dir=None):
     """The m smallest Stokes eigenpairs on the grid, L2-orthonormal.
 
     Deterministic.  Each parity sector (module docstring)
-    is solved from a fixed start vector, first for ceil(m/4) + 4 pairs; a
+    is solved from a seeded start, first for ceil(m/4) + 4 pairs; a
     sector whose largest computed eigenvalue is at or below the merged
     m-th, with pairs left, is solved again for twice as many.  The merge
     is a stable ascending sort in the order ee, oo, eo, oe.  Sign rule:
