@@ -17,11 +17,9 @@ from .fields import (
     divergence,
     gradient,
     gradient_stencils,
-    inner_h1,
     inner_l2,
     laplacian,
     norm_l2,
-    tangential_trace,
     transport_stencils,
 )
 from .lift import compute_forcing
@@ -30,10 +28,6 @@ from .stokes import LerayProjector
 
 class ConfigError(ValueError):
     """Invalid solver configuration; message names the offending fields."""
-
-
-class CompatibilityError(ValueError):
-    """Initial velocity incompatible with the boundary data or space."""
 
 
 class BlowupDetected(RuntimeError):
@@ -90,7 +84,7 @@ def explicit_dt_bound(tensors, c0):
     """
     de = np.abs(tensors.DE)
     # sum over the transported-mode index
-    row_lin = de.sum(axis=0).max() if de.size else 0.0
+    row_lin = de.sum(axis=0).max()
     row_quad = np.abs(tensors.B).sum(axis=(0, 1)).max()
     amp = float(np.max(np.linalg.norm(c0, axis=-1)))
     denom = row_lin + amp * row_quad
@@ -176,7 +170,7 @@ def _class_order(basis):
 
 
 def assemble_tensors(basis, lift, nu=None):
-    """All coefficient-system tensors for a basis and (optional) lift.
+    """All coefficient-system tensors for a basis and a lift.
 
     Every mode's stream function has one mirror parity per axis, and the
     discrete advection form is mirror-equivariant, so B[i, l, j] can be
@@ -205,7 +199,7 @@ def assemble_tensors(basis, lift, nu=None):
     w2 = g.h**2
     order, rows = _class_order(basis)
 
-    if lift is not None and lift.f_eps is None:
+    if lift.f_eps is None:
         if nu is None:
             raise ValueError("lift has no forcing attached; pass nu")
         compute_forcing(lift, nu)
@@ -228,9 +222,8 @@ def assemble_tensors(basis, lift, nu=None):
     r = np.empty((m, m))
     s = np.empty((m, m))       # (advect(w_i, G), w_j)
     half = np.empty((m, m))    # (advect(G, w_i), w_j)
-    if lift is not None:
-        gu, gv = lift.G_eps.u, lift.G_eps.v
-        gmat = _flat(lift.G_eps)[None, :]
+    gu, gv = lift.G_eps.u, lift.G_eps.v
+    gmat = _flat(lift.G_eps)[None, :]
     for cls, cls_rows in rows.items():
         for lo in range(cls_rows.start, cls_rows.stop, BLOCK):
             blk = slice(lo, min(lo + BLOCK, cls_rows.stop))
@@ -242,21 +235,15 @@ def assemble_tensors(basis, lift, nu=None):
                             grads, g)
                 allowed = rows[(-par[i][0] * cls[0], -par[i][1] * cls[1])]
                 t1[i, blk, allowed] = w2 * (buf[:k] @ flat[allowed].T)
-                if lift is not None:
-                    r[i, blk] = w2 * (gmat @ buf[:k].T)[0]
-            if lift is not None:
-                advect_into(bu[:k], bv[:k], transport_stencils(ub, vb, g),
-                            gradient_stencils(gu, gv, g), g)
-                s[blk] = w2 * (buf[:k] @ flat.T)
-                advect_into(bu[:k], bv[:k], transport_stencils(gu, gv, g), grads, g)
-                half[blk] = w2 * (buf[:k] @ flat.T)
+                r[i, blk] = w2 * (gmat @ buf[:k].T)[0]
+            advect_into(bu[:k], bv[:k], transport_stencils(ub, vb, g),
+                        gradient_stencils(gu, gv, g), g)
+            s[blk] = w2 * (buf[:k] @ flat.T)
+            advect_into(bu[:k], bv[:k], transport_stencils(gu, gv, g), grads, g)
+            half[blk] = w2 * (buf[:k] @ flat.T)
     mode_order = np.argsort(order)
     t1 = t1[np.ix_(mode_order, mode_order, mode_order)]
     b = 0.5 * (t1 - t1.transpose(0, 2, 1))
-
-    if lift is None:
-        return Tensors(B=b, D=np.zeros((m, m)), E=np.zeros((m, m)),
-                       F=np.zeros(m), lam=lam)
     pair = np.ix_(mode_order, mode_order)
     return Tensors(B=b, D=0.5 * (s - r)[pair], E=0.5 * (half - half.T)[pair],
                    F=w2 * (flat @ _flat(lift.f_eps))[mode_order], lam=lam)
@@ -278,40 +265,6 @@ class GalerkinState:
 def vnorm(c, lam):
     """V-norm sqrt(sum_j lam_j c_j^2) of a coefficient state (row-wise for a stack)."""
     return np.sqrt((c**2) @ lam)
-
-
-# largest wall trace of v0 - G, relative to its peak, that project_initial
-# accepts: the cutoff taper leaves the lift's trace 11-28% off the data, so
-# the check compares with the lift's trace, not with the data
-TRACE_TOL = 0.2
-
-
-def project_initial(v0, lift, basis):
-    """Project v0 minus the lift onto the basis; returns (state, V-norm error).
-
-    The initial velocity must be discretely divergence-free with zero
-    normal trace, and the projected field u0 = v0 - G must keep a
-    tangential wall trace of at most TRACE_TOL times its own peak, i.e.
-    v0 must carry the lift's trace.
-    """
-    dv = np.abs(divergence(v0).values).max()
-    if dv > 1e-8:
-        raise CompatibilityError(f"initial velocity has divergence {dv:.3e}")
-    u0 = v0 if lift is None else v0 - lift.G_eps
-    nmax = v0.wall_normal_max()
-    if nmax > 1e-12:
-        raise CompatibilityError(f"initial velocity has normal trace {nmax:.3e}")
-    worst = max(np.abs(a).max() for a in tangential_trace(u0).values())
-    peak = max(np.abs(u0.u).max(), np.abs(u0.v).max())
-    if worst > TRACE_TOL * peak:
-        raise CompatibilityError(
-            f"tangential trace of v0 - G is {worst:.3e}, over {TRACE_TOL} "
-            f"of its peak {peak:.3e}: v0 does not carry the wall data")
-
-    c = basis.project(u0)
-    resid = u0 - basis.combine(c)
-    err = float(np.sqrt(max(inner_h1(resid, resid), 0.0)))
-    return GalerkinState(0.0, c), err
 
 
 def _nonstiff(c, b_flat, de, f):
@@ -398,12 +351,9 @@ def solve(config, u0, lift, basis, tensors=None):
     check_dt_bound(config, tensors, u0.c)
 
     n = config.n_steps()
-    if lift is None:
-        fsq = np.zeros(n + 1)
-    else:
-        if lift.f_eps is None:
-            compute_forcing(lift, config.nu)
-        fsq = np.full(n + 1, inner_l2(lift.f_eps, lift.f_eps))
+    if lift.f_eps is None:
+        compute_forcing(lift, config.nu)
+    fsq = np.full(n + 1, inner_l2(lift.f_eps, lift.f_eps))
 
     times = np.arange(n + 1) * config.dt
     coeffs = np.empty((n + 1,) + u0.c.shape)
@@ -426,14 +376,11 @@ def solve(config, u0, lift, basis, tensors=None):
 # reconstruction and pressure
 
 
-def reconstruct(trajectory, basis, lift=None, n=-1):
+def reconstruct(trajectory, basis, lift, n=-1):
     """The velocity field v(t_n) = sum_j c_j(t_n) w_j + G at step n."""
     if n < 0:
         n += len(trajectory.times)
-    u = basis.combine(trajectory.coeffs[n])
-    if lift is None:
-        return u
-    return u + lift.G_eps
+    return basis.combine(trajectory.coeffs[n]) + lift.G_eps
 
 
 def _momentum_residual(state_pair, basis, lift, nu):
@@ -455,11 +402,8 @@ def _momentum_residual(state_pair, basis, lift, nu):
     u0, u1 = basis.combine(s0.c), basis.combine(s1.c)
     ubar = (u0 + u1) * 0.5
     dudt = (u1 - u0) * (1.0 / dt)
-    lap = laplacian(ubar, bc="noslip")
-    vbar = ubar
-    if lift is not None:
-        vbar = ubar + lift.G_eps
-        lap = lap + laplacian(lift.G_eps, bc="extrapolate")
+    vbar = ubar + lift.G_eps
+    lap = laplacian(ubar, bc="noslip") + laplacian(lift.G_eps, bc="extrapolate")
     return -(dudt + advect(vbar, vbar) - nu * lap)
 
 

@@ -231,11 +231,9 @@ def find_reproductive(config, lift, basis, u0_init=None, tol=1e-10,
         residuals.append(r)
         if r <= tol:
             closure = float(np.linalg.norm(image.c - u.c))
-            v0 = basis.combine(u.c)
-            if lift is not None:
-                v0 = v0 + lift.G_eps
             return FixedPointReport(residuals=residuals, converged=True,
-                                    state=u, l2_closure=closure, v0=v0)
+                                    state=u, l2_closure=closure,
+                                    v0=basis.combine(u.c) + lift.G_eps)
         if cap is None and residuals:
             # geometric-series cap from the measured first residual
             cap = math.ceil(math.log(residuals[0] / tol) / (config.nu * config.T)) + 2

@@ -164,33 +164,29 @@ def check_tensors(tensors, basis, lift):
         c . E d                      vs  b(G, u_c, u_d)
         c . F                        vs  (u_c, f)
 
-    D, E and F are skipped without a lift.  B is read in the flat layout
-    the step kernel uses.  Each deviation is divided by the larger of the
-    field value and the coefficient form taken in absolute values
-    (|c|^T |M| |d|), so a draw whose term happens to be near 0 cannot
-    fail and a zeroed tensor reads 1; two exact zeros read 0.  B drops
-    out of the energy balance by skew symmetry, so the energy monitor
-    cannot see a defect there; this audit does.
+    B is read in the flat layout the step kernel uses.  Each deviation is
+    divided by the larger of the field value and the coefficient form
+    taken in absolute values (|c|^T |M| |d|), so a draw whose term happens
+    to be near 0 cannot fail and a zeroed tensor reads 1; two exact zeros
+    (D, E and F of the zero lift) read 0.  B drops out of the energy
+    balance by skew symmetry, so the energy monitor cannot see a defect
+    there; this audit does.
     """
     m = len(tensors.lam)
     rng = np.random.default_rng(0)
     c, d = rng.standard_normal(m), rng.standard_normal(m)
     ac, ad = np.abs(c), np.abs(d)
     uc, ud = basis.combine(c), basis.combine(d)
-    b_flat = tensors.B_flat
+    b_flat, g = tensors.B_flat, lift.G_eps
     terms = [
         ("lam", (c * tensors.lam) @ c, (ac * np.abs(tensors.lam)) @ ac,
          inner_l2(apply_stokes(uc), uc)),
         ("B", c @ (c @ b_flat).reshape(m, m) @ d,
          ac @ (ac @ np.abs(b_flat)).reshape(m, m) @ ad, trilinear(uc, uc, ud)),
+        ("D", c @ tensors.D @ d, ac @ np.abs(tensors.D) @ ad, trilinear(uc, g, ud)),
+        ("E", c @ tensors.E @ d, ac @ np.abs(tensors.E) @ ad, trilinear(g, uc, ud)),
+        ("F", c @ tensors.F, ac @ np.abs(tensors.F), inner_l2(uc, lift.f_eps)),
     ]
-    if lift is not None:
-        g = lift.G_eps
-        terms += [
-            ("D", c @ tensors.D @ d, ac @ np.abs(tensors.D) @ ad, trilinear(uc, g, ud)),
-            ("E", c @ tensors.E @ d, ac @ np.abs(tensors.E) @ ad, trilinear(g, uc, ud)),
-            ("F", c @ tensors.F, ac @ np.abs(tensors.F), inner_l2(uc, lift.f_eps)),
-        ]
     devs = []
     for _, coef, size, field in terms:
         scale = max(size, abs(field))

@@ -10,7 +10,7 @@ import pytest
 
 from reproflow.fields import Grid
 from reproflow.galerkin import SolverConfig, assemble_tensors
-from reproflow.lift import boundary_profile, build_lift, compute_forcing
+from reproflow.lift import BoundaryData, boundary_profile, build_lift, compute_forcing
 from reproflow.stokes import compute_eigenbasis
 
 # The standard wall-bump fixture: unit viscosity, one smooth bump of
@@ -19,6 +19,13 @@ from reproflow.stokes import compute_eigenbasis
 # the discrete lift field vanishes identically — real, but trivial.
 BUMP_AMP = 1e-2
 BUMP_EPS = 0.4
+
+
+def build_zero_lift(grid):
+    """The lift of no wall data, forcing attached: G, f and beta are all zero."""
+    lift = build_lift(BoundaryData(grid, {}), BUMP_EPS, grid)
+    compute_forcing(lift, 1.0)
+    return lift
 
 
 @pytest.fixture(scope="session")
@@ -59,6 +66,11 @@ def lift48(square48, bump48):
 
 
 @pytest.fixture(scope="session")
+def zero_lift48(square48):
+    return build_zero_lift(square48)
+
+
+@pytest.fixture(scope="session")
 def tensors48(basis48, lift48):
     return assemble_tensors(basis48, lift48, nu=1.0)
 
@@ -74,6 +86,11 @@ def lift32(square32):
     lift = build_lift(g, BUMP_EPS, square32)
     compute_forcing(lift, 1.0)
     return lift
+
+
+@pytest.fixture(scope="session")
+def zero_lift32(square32):
+    return build_zero_lift(square32)
 
 
 @pytest.fixture(scope="session")

@@ -48,7 +48,7 @@ def _ball(rng, lam, radius):
     return c * (radius / math.sqrt(float((c**2 * lam).sum())))
 
 
-def test_criterion_1_square_stokes_oracle(basis48, cache_dir):
+def test_criterion_1_square_stokes_oracle(basis48, zero_lift48, cache_dir):
     t0 = time.monotonic()
     lam24 = compute_eigenbasis(Grid("square", 24), 1, cache_dir=cache_dir).eigenvalues[0]
     lam48 = basis48.eigenvalues[0]
@@ -56,12 +56,12 @@ def test_criterion_1_square_stokes_oracle(basis48, cache_dir):
     richardson = lam48 + (lam48 - lam24) / 3.0
     rich_err = abs(richardson - LAMBDA1) / LAMBDA1
 
-    # a no-lift run: what the momentum balance leaves is a discrete gradient
+    # a run without wall data: what the momentum balance leaves is a discrete gradient
     config = SolverConfig(nu=0.1, T=0.1, dt=1e-3, m=32, nx=48)
     c0 = _ball(np.random.default_rng(0), basis48.eigenvalues, 0.2)
-    traj = solve(config, GalerkinState(0.0, c0), None, basis48)
+    traj = solve(config, GalerkinState(0.0, c0), zero_lift48, basis48)
     pair = (traj.state(traj.n_steps - 1), traj.state(traj.n_steps))
-    drop = momentum_residual_drop(pair, basis48, None, config.nu)
+    drop = momentum_residual_drop(pair, basis48, zero_lift48, config.nu)
 
     elapsed = time.monotonic() - t0
     print(f"criterion 1: lambda_1 {lam24:.8f} (nx 24), {lam48:.8f} (nx 48), "
@@ -112,7 +112,7 @@ def test_criterion_3_reproductive_fixed_point(config48, lift48, basis48,
     assert closure <= 1e-9
 
 
-def test_criterion_4_energy_inequality(config48, bump48, lift48, basis48,
+def test_criterion_4_energy_inequality(config48, bump48, lift48, zero_lift48, basis48,
                                        tensors48):
     lam = basis48.eigenvalues
     c_omega = poincare_constant(basis48)
@@ -141,7 +141,7 @@ def test_criterion_4_energy_inequality(config48, bump48, lift48, basis48,
     worst_free = -np.inf
     for seed in (0, 1, 2):
         c0 = _ball(np.random.default_rng(seed), lam, 0.05)
-        traj = solve(config48, GalerkinState(0.0, c0), None, basis48,
+        traj = solve(config48, GalerkinState(0.0, c0), zero_lift48, basis48,
                      tensors=free)
         report = check_energy_inequality(traj, config48.nu, c_omega,
                                          beta=0.0, kappa=0.0, tol=0.0)

@@ -283,6 +283,10 @@ def test_solve_run_artifacts_and_manifest(tmp_path, capsys):
     with open(os.path.join(out, "coeffs.csv")) as fh:
         assert fh.readline().strip() == "t," + ",".join(f"c{j}" for j in range(6))
     assert os.path.exists(os.path.join(out, "v_final.npz"))
+    # with wall data the residual's drop cannot judge the run: no pressure
+    assert "pressure_final.npz" not in man["outputs"]
+    assert not os.path.exists(os.path.join(out, "pressure_final.npz"))
+    assert "momentum_residual_drop" not in man["summary"]
     # effective config round-trips through the hash deterministically
     with open(os.path.join(out, "effective_config.json")) as fh:
         eff = json.load(fh)

@@ -17,7 +17,6 @@ from reproflow.fields import (
     norm_l2,
     rot,
     tangential_trace,
-    trilinear,
 )
 
 
@@ -130,28 +129,44 @@ def test_quadrature_exact_on_trig():
     assert inner_h1(w, w) / l2 == pytest.approx(sym, rel=1e-12)
 
 
-@pytest.mark.parametrize("kind", ["square"])
-def test_trilinear_vanishes_on_repeated_argument(kind):
-    grid = Grid(kind, 24)
-    rng = np.random.default_rng(42)
-    worst = 0.0
-    for _ in range(100):
-        u = rot(_interior_psi(grid, rng))
-        v = rot(_interior_psi(grid, rng))
-        scale = norm_l2(u) * np.sqrt(inner_h1(v, v)) * norm_l2(v)
-        worst = max(worst, abs(trilinear(u, v, v)) / max(scale, 1e-30))
-    print(f"{kind}: worst relative |b(u, v, v)| = {worst:.3e}")
-    assert worst <= 1e-12
+def _plain_form(nx, factor_u, factor_v):
+    """((u.grad)v, v) / (|u| ||v|| |v|) for u, v = rot(sin^4 sin^4 * factor)."""
+    grid = Grid("square", nx)
+    x, y = grid.node_coords()
+    bump = _sin4(x, 0) * _sin4(y, 0)
+    u, v = (rot(ScalarField(grid, bump * f(x, y), loc="node")) for f in (factor_u, factor_v))
+    return inner_l2(advect(u, v), v) / (norm_l2(u) * np.sqrt(inner_h1(v, v)) * norm_l2(v))
 
 
-def test_trilinear_antisymmetric_pair():
-    # b(u, v, w) = -b(u, w, v) for solenoidal zero-normal-trace u
-    grid = Grid("square", 24)
-    rng = np.random.default_rng(3)
-    u, v, w = (rot(_interior_psi(grid, rng)) for _ in range(3))
-    a = trilinear(u, v, w)
-    b = trilinear(u, w, v)
-    assert abs(a + b) < 1e-12 * max(1.0, abs(a))
+# (u, v) stream-function factors: u's is even about the mid-line of the
+# axis named, v's odd about it; neither has a parity about the other axis
+MIRROR_FACTORS = {
+    "x": (lambda x, y: np.exp(y), lambda x, y: np.exp(-y) * np.sin(2 * np.pi * x)),
+    "y": (lambda x, y: np.exp(x), lambda x, y: np.exp(-x) * np.sin(2 * np.pi * y)),
+}
+
+
+@pytest.mark.parametrize("axis", sorted(MIRROR_FACTORS))
+def test_advection_form_vanishes_on_mirror_symmetric_fields(axis):
+    # ((u.grad)v, v) = 0 holds exactly when u's stream function is even
+    # about the mid-line of one axis and v's has one parity about it: the
+    # mirror selection rule of B.  A centered stencil keeps the rule to
+    # rounding; a one-sided interior stencil breaks it
+    forms = [abs(_plain_form(nx, *MIRROR_FACTORS[axis])) for nx in (16, 32, 64, 128)]
+    print(f"even in {axis}: relative |b(u, v, v)|", [f"{f:.2e}" for f in forms])
+    assert max(forms) <= 1e-12
+
+
+def test_advection_form_is_second_order_on_smooth_fields():
+    # with no mirror parity the plain form is no discrete identity (2e-2
+    # relative on white noise), but on smooth fields it is O(h^2) off the
+    # continuous value 0; a first-order stencil halves it, not quarters
+    forms = [abs(_plain_form(nx, lambda x, y: 1 + x + 2 * y, lambda x, y: np.exp(x * y) + x))
+             for nx in (16, 32, 64, 128)]
+    ratios = [a / b for a, b in zip(forms, forms[1:])]
+    print("relative |b(u, v, v)|", [f"{f:.2e}" for f in forms],
+          "ratios", [f"{r:.2f}" for r in ratios])
+    assert all(3.5 < r < 4.5 for r in ratios)
 
 
 def test_tangential_trace_reads_wall_rows():

@@ -14,7 +14,6 @@ from reproflow import galerkin
 from reproflow.fields import Grid, advect, divergence, inner_l2
 from reproflow.galerkin import (
     BlowupDetected,
-    CompatibilityError,
     ConfigError,
     GalerkinState,
     SolverConfig,
@@ -22,15 +21,16 @@ from reproflow.galerkin import (
     assemble_tensors,
     check_dt_bound,
     explicit_dt_bound,
-    project_initial,
     recover_pressure,
     rhs,
     solve,
     step,
     validate_config,
 )
-from reproflow.lift import boundary_profile, build_lift
+from reproflow.lift import BoundaryData, boundary_profile, build_lift
 from reproflow.stokes import LerayProjector, StokesBasis, compute_eigenbasis
+
+from .conftest import build_zero_lift
 
 
 def test_validate_config_rejections():
@@ -89,8 +89,6 @@ def _reference_tensors(basis, lift):
     t1 = np.array([[[inner_l2(advect(wi, wl), wj) for wj in modes]
                     for wl in modes] for wi in modes])
     b = 0.5 * (t1 - t1.transpose(0, 2, 1))
-    if lift is None:
-        return b, None, None, None
     g = lift.G_eps
     d = np.array([[0.5 * (inner_l2(advect(wi, g), wj) - inner_l2(advect(wi, wj), g))
                    for wj in modes] for wi in modes])
@@ -111,22 +109,24 @@ def square16_13():
 @pytest.mark.parametrize("case", ["square_bump", "square_no_lift"])
 def test_blocked_assembly_matches_pairwise_advect(case, square16_13):
     grid, basis = square16_13
-    lift = None
-    if case == "square_bump":
-        lift = build_lift(boundary_profile(grid, "bottom_bump", amplitude=1e-2), 0.4, grid)
+    walls = (boundary_profile(grid, "bottom_bump", amplitude=1e-2) if case == "square_bump"
+             else BoundaryData(grid, {}))
+    lift = build_lift(walls, 0.4, grid)
     got = assemble_tensors(basis, lift, nu=1.0)
     want = _reference_tensors(basis, lift)
-    devs = {name: np.linalg.norm(getattr(got, name) - ref) / np.linalg.norm(ref)
-            for name, ref in zip("BDEF", want) if ref is not None}
+    # a zero reference (D, E and F without wall data) must be met exactly
+    devs = {name: np.linalg.norm(getattr(got, name) - ref) / (np.linalg.norm(ref) or 1.0)
+            for name, ref in zip("BDEF", want)}
     print(case, ", ".join(f"{name} {dev:.3e}" for name, dev in devs.items()))
     assert all(dev <= 1e-12 for dev in devs.values())   # NaN fails too
 
 
 def test_selection_rule_of_b(square16_13):
     # the field forms obey the rule, and the sweep keeps exactly the rest
-    _, basis = square16_13
-    want = _reference_tensors(basis, None)[0]
-    got = assemble_tensors(basis, None).B
+    grid, basis = square16_13
+    lift = build_zero_lift(grid)
+    want = _reference_tensors(basis, lift)[0]
+    got = assemble_tensors(basis, lift).B
     p = basis.parities
     # the parities of i, l and j multiply to -1 on both axes
     allowed = (p[:, None, None] * p[None, :, None] * p[None, None, :] == -1).all(axis=-1)
@@ -151,7 +151,7 @@ def test_assembly_refuses_modes_without_a_parity():
     rotated = StokesBasis(grid, basis.eigenvalues, u, v)
     assert rotated.orthonormality_error() <= 1e-10
     with pytest.raises(ValueError, match="mode 1 has no single mirror parity"):
-        assemble_tensors(rotated, None)
+        assemble_tensors(rotated, build_zero_lift(grid))
 
 
 def _reference_rhs(c, tensors, nu):
@@ -204,17 +204,30 @@ def test_solve_calls_step_through_the_module(monkeypatch, basis32, lift32, tenso
 
 
 @pytest.fixture(scope="module")
-def tensors32_nolift(basis32):
-    return assemble_tensors(basis32, None)
+def tensors32_nolift(basis32, zero_lift32):
+    return assemble_tensors(basis32, zero_lift32)
+
+
+def test_zero_lift_is_no_wall_data(zero_lift32, tensors32_nolift, tensors32):
+    # g = 0 lifts to G = 0, f = 0 and beta = 0: its coupling tensors are
+    # exact, unsigned zeros, and the mode coupling B does not see the lift
+    for field in (zero_lift32.G_eps, zero_lift32.f_eps):
+        assert not field.u.any() and not field.v.any()
+    assert zero_lift32.beta == 0.0
+    for name in "DEF":
+        t = getattr(tensors32_nolift, name)
+        assert not t.any() and not np.signbit(t).any(), name
+    assert np.array_equal(tensors32_nolift.B, tensors32.B)
 
 
 @pytest.mark.parametrize("k", [1, 3])
 @pytest.mark.parametrize("which", ["tensors32", "tensors32_nolift", "sliced_tensors"])
-def test_stack_rows_match_single_solves(request, config32, basis32, lift32, which, k):
+def test_stack_rows_match_single_solves(request, config32, basis32, lift32, zero_lift32,
+                                        which, k):
     # each row of a (k, m) stack steps bitwise as the same state alone;
     # k = 1 is given as a (1, m) stack, not as an (m,) state
     tensors = request.getfixturevalue(which)
-    lift = None if which == "tensors32_nolift" else lift32
+    lift = zero_lift32 if which == "tensors32_nolift" else lift32
     m = len(tensors.lam)
     cfg = dataclasses.replace(config32, m=m)
     rng = np.random.default_rng(23)
@@ -248,13 +261,14 @@ def test_step_is_second_order():
     # self-convergence against a 4096-step reference on a nonlinear run
     grid = Grid("square", 16)
     basis = compute_eigenbasis(grid, 8)
-    tensors = assemble_tensors(basis, None)
+    lift = build_zero_lift(grid)
+    tensors = assemble_tensors(basis, lift)
     c0 = np.array([0.9, 0.0, 0.0, 0.0, 0.5, 0.0, -0.3, 0.0])
     nu, T = 0.2, 0.25
 
     def run(n):
         cfg = SolverConfig(nu=nu, T=T, dt=T / n, m=8, epsilon=0.4, nx=16)
-        return solve(cfg, GalerkinState(0.0, c0.copy()), None, basis,
+        return solve(cfg, GalerkinState(0.0, c0.copy()), lift, basis,
                      tensors=tensors).coeffs[-1]
 
     ref = run(4096)
@@ -272,21 +286,22 @@ def test_linear_only_system_is_exact():
                       E=np.zeros((m, m)), F=np.zeros(m), lam=lam)
     cfg = SolverConfig(nu=0.7, T=1.0, dt=0.25, m=m, epsilon=0.4, nx=8)
     c0 = np.array([1.0, -2.0, 0.5, 3.0])
-    traj = solve(cfg, GalerkinState(0.0, c0), None,
-                 compute_eigenbasis(Grid("square", 8), 4), tensors=tensors)
+    grid = Grid("square", 8)
+    traj = solve(cfg, GalerkinState(0.0, c0), build_zero_lift(grid),
+                 compute_eigenbasis(grid, 4), tensors=tensors)
     want = c0 * np.exp(-0.7 * lam * 1.0)
     dev = np.abs(traj.coeffs[-1] - want).max()
     print(f"linear-only final deviation {dev:.3e}")
     assert dev <= 1e-14
 
 
-def test_blowup_detected_with_partial_history(basis32):
+def test_blowup_detected_with_partial_history(basis32, zero_lift32):
     m = 2
     tensors = Tensors(B=np.zeros((m, m, m)), D=-40.0 * np.eye(m),
                       E=np.zeros((m, m)), F=np.zeros(m), lam=np.zeros(m))
     cfg = SolverConfig(nu=1.0, T=1.0, dt=1e-3, m=m, epsilon=0.4, nx=32)
     with pytest.raises(BlowupDetected) as info:
-        solve(cfg, GalerkinState(0.0, np.ones(m)), None, basis32,
+        solve(cfg, GalerkinState(0.0, np.ones(m)), zero_lift32, basis32,
               tensors=tensors)
     exc = info.value
     assert exc.step_index > 100
@@ -297,7 +312,7 @@ def test_blowup_detected_with_partial_history(basis32):
     # in a stack the row that leaves first is named, at the step it leaves alone
     stack = np.array([[1e-3, 1e-3], [1.0, 1.0], [1e-3, 0.0]])
     with pytest.raises(BlowupDetected) as info:
-        solve(cfg, GalerkinState(0.0, stack), None, basis32, tensors=tensors)
+        solve(cfg, GalerkinState(0.0, stack), zero_lift32, basis32, tensors=tensors)
     rows = info.value
     assert rows.row == 1 and "stack row 1" in str(rows)
     assert rows.step_index == exc.step_index
@@ -305,54 +320,12 @@ def test_blowup_detected_with_partial_history(basis32):
     assert np.array_equal(rows.partial.coeffs[:, 1], exc.partial.coeffs)
 
 
-def test_solve_rejects_mismatched_state(basis32, tensors32, config32):
+def test_solve_rejects_mismatched_state(basis32, lift32, tensors32, config32):
     # m = 8: a state (8,) or a stack (k, 8) with k >= 1, nothing else
     for shape in [(5,), (3, 5), (2, 3, 8), (0, 8), ()]:
         with pytest.raises(ConfigError, match="initial state shape"):
-            solve(config32, GalerkinState(0.0, np.zeros(shape)), None, basis32,
+            solve(config32, GalerkinState(0.0, np.zeros(shape)), lift32, basis32,
                   tensors=tensors32)
-
-
-def test_project_initial_round_trip(basis32, lift32):
-    rng = np.random.default_rng(4)
-    c_true = 1e-3 * rng.standard_normal(8)
-    v0 = basis32.combine(c_true) + lift32.G_eps
-    state, err = project_initial(v0, lift32, basis32)
-    assert state.c == pytest.approx(c_true, abs=1e-12)
-    assert err <= 1e-10
-
-
-def test_project_initial_rejects_bad_data(square32, basis32, lift32):
-    from reproflow.fields import VectorField
-
-    rng = np.random.default_rng(9)
-    junk = VectorField(square32, rng.standard_normal(square32.shape_u()),
-                       rng.standard_normal(square32.shape_v()))
-    with pytest.raises(CompatibilityError):
-        project_initial(junk, lift32, basis32)
-
-
-@pytest.mark.parametrize("amplitude", [1e-2, 1.0])
-def test_project_initial_rejects_wrong_tangential_trace(square32, basis32, amplitude):
-    # divergence-free with zero normal trace, so only the trace check can
-    # refuse it: the modes' tangential trace is about 0, so v0 - G keeps
-    # the lift's whole wall trace, at the shipped amplitude and at 1
-    lift = build_lift(boundary_profile(square32, "bottom_bump", amplitude=amplitude),
-                      0.4, square32)
-    v0 = basis32.combine(1e-3 * np.random.default_rng(3).standard_normal(8))
-    with pytest.raises(CompatibilityError, match="tangential trace"):
-        project_initial(v0, lift, basis32)
-
-
-def test_project_initial_accepts_lift_trace_at_unit_amplitude(square48, basis48):
-    # the lift's trace is 11-28% off the data (cutoff taper), so v0 = u + G
-    # must pass because it carries G's trace, not because the data is small
-    lift = build_lift(boundary_profile(square48, "bottom_bump", amplitude=1.0),
-                      0.4, square48)
-    c_true = 1e-3 * np.random.default_rng(5).standard_normal(32)
-    state, err = project_initial(basis48.combine(c_true) + lift.G_eps, lift, basis48)
-    assert state.c == pytest.approx(c_true, abs=1e-12)
-    assert err <= 1e-10
 
 
 def test_reconstruction_is_divergence_free(basis32, lift32, tensors32, config32):
@@ -365,12 +338,12 @@ def test_reconstruction_is_divergence_free(basis32, lift32, tensors32, config32)
     assert dv <= 1e-12
 
 
-def test_pressure_recovery_guards(basis32):
+def test_pressure_recovery_guards(basis32, zero_lift32):
     s0 = GalerkinState(0.0, np.zeros(8))
     s1 = GalerkinState(1e-3, np.zeros(8))
     # the residual differentiates in time, so ordering matters
     with pytest.raises(ValueError):
-        recover_pressure((s1, s0), basis32, None, nu=1.0)
+        recover_pressure((s1, s0), basis32, zero_lift32, nu=1.0)
 
 
 def test_lift_forcing_enters_the_pressure_once(basis48, lift48):

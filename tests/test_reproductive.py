@@ -48,7 +48,7 @@ def test_budget_rejects_loud_data(square48):
     assert not budget.satisfied
 
 
-def test_map_l_matches_linear_decay(basis32):
+def test_map_l_matches_linear_decay(basis32, zero_lift32):
     # with the quadratic and coupling tensors removed, the period map is
     # mode-wise e^(-nu lam T) exactly; this pins the endpoint wiring.
     # (With the quadratic term on, low-mode products leak ~e^(-2 lam_1 T)
@@ -60,15 +60,15 @@ def test_map_l_matches_linear_decay(basis32):
     linear = Tensors(B=np.zeros((6, 6, 6)), D=np.zeros((6, 6)),
                      E=np.zeros((6, 6)), F=np.zeros(6), lam=lam)
     c0 = 1e-6 * np.ones(6)
-    out = map_L(GalerkinState(0.0, c0), cfg, None, basis6, tensors=linear)
+    out = map_L(GalerkinState(0.0, c0), cfg, zero_lift32, basis6, tensors=linear)
     want = c0 * np.exp(-lam * 1.0)
     rel = np.abs(out.c / want - 1.0).max()
     print(f"map_L linear-decay relative deviation {rel:.3e}")
     assert rel <= 1e-10
 
 
-def test_map_l_fixes_zero(config32, basis32):
-    out = map_L(GalerkinState(0.0, np.zeros(8)), config32, None, basis32)
+def test_map_l_fixes_zero(config32, basis32, zero_lift32):
+    out = map_L(GalerkinState(0.0, np.zeros(8)), config32, zero_lift32, basis32)
     assert np.all(out.c == 0.0)
 
 
@@ -168,8 +168,8 @@ def test_reproductive_start_independence(config32, lift32, basis32, tensors32):
     assert dev <= 1e-12
 
 
-def test_zero_data_fixed_point_is_rest(config32, basis32):
-    report = find_reproductive(config32, None, basis32)
+def test_zero_data_fixed_point_is_rest(config32, basis32, zero_lift32):
+    report = find_reproductive(config32, zero_lift32, basis32)
     assert report.converged
     assert report.residuals == [0.0]
     assert np.all(report.state.c == 0.0)

@@ -40,11 +40,11 @@ def test_poincare_constant(basis48):
     assert c == pytest.approx(1.0 / np.sqrt(basis48.eigenvalues[0]), abs=0)
 
 
-def test_energy_inequality_on_decaying_vortices(basis48):
+def test_energy_inequality_on_decaying_vortices(basis48, zero_lift48):
     cfg = SolverConfig(nu=0.1, T=0.1, dt=1e-3, m=32, nx=48)
     c0 = np.random.default_rng(0).standard_normal(32)
     c0 *= 0.2 / vnorm(c0, basis48.eigenvalues)
-    traj = solve(cfg, GalerkinState(0.0, c0), None, basis48)
+    traj = solve(cfg, GalerkinState(0.0, c0), zero_lift48, basis48)
     report = check_energy_inequality(traj, cfg.nu, poincare_constant(basis48))
     for line in report.lines():
         print(line)
@@ -65,8 +65,8 @@ def test_energy_inequality_on_bump_run(bump_traj, basis32, lift32):
     assert report.max_violation < 0.0
 
 
-def test_zero_data_violations_are_exactly_zero(config32, basis32):
-    traj = solve(config32, GalerkinState(0.0, np.zeros(8)), None, basis32)
+def test_zero_data_violations_are_exactly_zero(config32, basis32, zero_lift32):
+    traj = solve(config32, GalerkinState(0.0, np.zeros(8)), zero_lift32, basis32)
     report = check_energy_inequality(traj, config32.nu,
                                      poincare_constant(basis32))
     assert report.max_violation == 0.0
@@ -208,9 +208,9 @@ DEFECTS = {
 
 @pytest.mark.parametrize("case", ["clean_square48_bump", "clean_square48_no_lift",
                                   *DEFECTS])
-def test_tensor_audit(case, basis48, lift48, tensors48):
+def test_tensor_audit(case, basis48, lift48, zero_lift48, tensors48):
     if case == "clean_square48_no_lift":
-        basis, lift, tensors = basis48, None, assemble_tensors(basis48, None)
+        basis, lift, tensors = basis48, zero_lift48, assemble_tensors(basis48, zero_lift48)
     else:
         basis, lift, tensors = basis48, lift48, tensors48
     if case in DEFECTS:
@@ -219,7 +219,7 @@ def test_tensor_audit(case, basis48, lift48, tensors48):
     for line in report.lines():
         print(line)
     print("deviations:", report.lhs)
-    assert report.regime["terms"] == ("lam B" if lift is None else "lam B D E F")
+    assert report.regime["terms"] == "lam B D E F"
     if case in DEFECTS:
         assert not report.passed
         assert report.max_violation > 1e6 * AUDIT_TOL
