@@ -5,7 +5,8 @@ whose rotation reproduces the wall data, a radial cutoff that confines
 the lift to a thin boundary band, and the band-integral smallness
 measure that the solver's regime checks consume.  The construction
 guarantees ``div G = 0`` to rounding because G is the discrete rotation
-of a nodal scalar.
+of a nodal scalar.  The stream function is a clamped plate, solved per
+mirror-parity sector by the Woodbury solve of the Stokes eigenbasis.
 """
 
 import dataclasses
@@ -23,6 +24,7 @@ from .fields import (
     rot,
     trilinear,
 )
+from .stokes import PARITY_INDICES, clamped_sector
 
 WALLS = ("bottom", "right", "top", "left")
 
@@ -126,15 +128,18 @@ def load_boundary_table(grid, path):
     corner (0, 0), in [0, 4) — bottom [0,1), right [1,2), top [2,3),
     left [3,4) — and ``value`` the ccw tangential component.  Samples
     are linearly interpolated onto the boundary nodes with period-4
-    wraparound.
+    wraparound.  A file that cannot be read, a non-numeric entry and a
+    table without rows raise InvalidBoundaryData.
     """
     try:
-        tab = np.loadtxt(path, delimiter=None, comments="#", ndmin=2)
-    except ValueError:
-        tab = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
-    if tab.shape[1] != 2:
+        with open(path) as fh:
+            rows = [line.split("#")[0].replace(",", " ").split() for line in fh]
+        tab = np.array([row for row in rows if row], dtype=float)
+    except (OSError, ValueError) as exc:
+        raise InvalidBoundaryData(f"{path}: not a readable numeric table ({exc})") from exc
+    if tab.ndim != 2 or tab.shape[1] != 2:
         raise InvalidBoundaryData(
-            f"{path}: expected two columns (arclength, value), got {tab.shape[1]}")
+            f"{path}: expected rows of two columns (arclength, value), got shape {tab.shape}")
     s, val = tab[:, 0], tab[:, 1]
     if np.any(s < 0) or np.any(s >= 4):
         raise InvalidBoundaryData(f"{path}: arclength must lie in [0, 4)")
@@ -158,16 +163,6 @@ def load_boundary_table(grid, path):
 # stream function
 
 
-# per wall, in WALLS order: its non-corner nodes in a node array, its normal
-# axis, and the first three interior node lines inward from it
-_WALL_GEOMETRY = (
-    ((slice(1, -1), 0), 1, (0, 1, 2)),
-    ((-1, slice(1, -1)), 0, (-1, -2, -3)),
-    ((slice(1, -1), -1), 1, (-1, -2, -3)),
-    ((0, slice(1, -1)), 0, (0, 1, 2)),
-)
-
-
 def _ghost_laplacian(a, h):
     """5-point Laplacian of a node array whose wall rows read the eliminated
     ghost, exact through quartics; its slope part is data."""
@@ -187,46 +182,33 @@ def _solve_clamped(bc, h):
     omega = Lap_h psi, whose wall rows read the eliminated ghost,
     K psi = (7 psi_1 - 2 psi_2 + psi_3 / 3) / h^2 along each wall normal,
     plus the slope data -(4/h) bc; and Lap_h omega = 0 at the interior
-    nodes.  With L the Dirichlet 5-point Laplacian and E placing the 4(n-1)
-    non-corner wall values on their adjacent interior nodes, this is
-    (L^2 + E K / h^2) psi = (4/h^3) E g, a rank-4(n-1) change of L^2
-    (Buzbee, Dorr, George & Golub, SIAM J. Numer. Anal. 8, 1971).  So
-    psi = L^-2 E y, where y solves the capacitance system
-    (I + K L^-2 E / h^2) y = (4/h^3) g, and omega = -h^2 y on the walls.
-    The sine matrix S diagonalizes L.  For the sine coefficients S y of
-    each wall the capacitance matrix has diagonal blocks between parallel
-    walls and, between perpendicular ones, the eigenvalues of L^-2 scaled
-    by row and column; it is assembled in O(n^2) and solved densely.  The
-    corner nodes carry no data, so their omega stays 0.  Only the
-    residual check reads omega.
+    nodes.  With L the Dirichlet 5-point Laplacian and E placing wall
+    values on their adjacent interior nodes, this is
+    (L^2 + E K / h^2) psi = (4/h^3) E bc.  In the sine basis of S it splits
+    into four mirror-parity sectors, each one `stokes.clamped_sector` solve
+    with the ghost read, shift h^4/2 and the slope data as wall data z.
+    Then omega = L psi inside and K psi - (4/h) bc on the walls (0 at the
+    data-free corners).  Only the residual check reads omega.
     """
     n = bc.shape[0] - 1
     s, mu = dirichlet_sine(n, h)
     lam = mu[:, None] + mu[None, :]  # eigenvalues of L
-    inv2 = lam**-2
-    # E and K of each wall in the sine basis along its normal
-    near = [s[rows[0]] for _, _, rows in _WALL_GEOMETRY]
-    read = [(7.0 * s[r1] - 2.0 * s[r2] + s[r3] / 3.0) / h**2
-            for _, _, (r1, r2, r3) in _WALL_GEOMETRY]
-    axes = [axis for _, axis, _ in _WALL_GEOMETRY]
-    cap = np.block([
-        [np.diag(inv2 @ (read[t] * near[w])) if axes[t] == axes[w]
-         else near[w][:, None] * inv2 * read[t][None, :]
-         for w in range(4)]
-        for t in range(4)]) / h**2
-    cap[np.diag_indices_from(cap)] += 1.0
-    g = np.stack([bc[nodes] for nodes, _, _ in _WALL_GEOMETRY])
-    sy = np.linalg.solve(cap, ((4.0 / h**3) * g @ s).ravel()).reshape(4, n - 1)
-
-    # E y in the two-dimensional sine basis
-    ey = sum(np.outer(near[w], sy[w]) if axes[w] == 0 else np.outer(sy[w], near[w])
-             for w in range(4))
+    left, right, bottom, top = (
+        (4.0 / h**3) * s @ w for w in (bc[0, 1:-1], bc[-1, 1:-1], bc[1:-1, 0], bc[1:-1, -1]))
+    read = 7.0 * s[0] - 2.0 * s[1] + s[2] / 3.0
+    psihat = np.empty((n - 1, n - 1))
+    for px, rows in PARITY_INDICES.items():
+        for py, cols in PARITY_INDICES.items():
+            # a wall and its mirror image act together, with the sector's sign
+            zr = left + right if px == "even" else left - right
+            zc = bottom + top if py == "even" else bottom - top
+            solve = clamped_sector(lam[rows, cols], s[0, rows], s[0, cols],
+                                   read[rows], read[cols], h**4 / 2.0)
+            psihat[rows, cols] = solve(0.0, np.concatenate([zr[cols], zc[rows]]))
     psi = np.zeros_like(bc)
-    omega = np.zeros_like(bc)
-    psi[1:-1, 1:-1] = s @ (ey * inv2) @ s
-    omega[1:-1, 1:-1] = s @ (ey / lam) @ s
-    for (nodes, _, _), y in zip(_WALL_GEOMETRY, sy @ s):
-        omega[nodes] = -h**2 * y
+    psi[1:-1, 1:-1] = s @ psihat @ s
+    omega = _ghost_laplacian(psi, h) - (4.0 / h) * bc
+    omega[1:-1, 1:-1] = s @ (lam * psihat) @ s
     # one correction of the interior omega: Lap_h amplifies its rounding,
     # which for rough wall data on fine grids (nx >= 192) would otherwise
     # exceed the residual gate
@@ -250,11 +232,9 @@ def _check_clamped(omega, psi, bc, h):
 
 
 def _wall_slopes(g, grid):
-    """Node array of the wall data, the inward normal slope of psi, on the
-    non-corner wall nodes (the corner samples are zero)."""
+    """Node array of the wall data, the inward normal slope of psi (0 at corners)."""
     bc = np.zeros(grid.shape_node())
-    for name, (nodes, _, _) in zip(WALLS, _WALL_GEOMETRY):
-        bc[nodes] = g.walls[name][1:-1]
+    bc[:, 0], bc[-1], bc[:, -1], bc[0] = (g.walls[name] for name in WALLS)
     return bc
 
 
@@ -264,10 +244,10 @@ def build_stream_function(g, grid):
     Solves the clamped fourth-order problem (zero Dirichlet values, normal
     slope set by the wall data) as a coupled pair of second-order
     equations for (Lap psi, psi); the normal-slope condition enters
-    through eliminated ghost nodes in the wall rows.  The solve is
-    sine-transform Poisson solves plus a dense capacitance system of the
-    4(n-1) wall rows, O(n^3) in numpy alone (`_solve_clamped`), and the
-    residual of both equations is checked with stencils against 1e-10.
+    through eliminated ghost nodes in the wall rows.  The solve is a
+    sine transform and one Woodbury solve per mirror-parity sector,
+    O(n^3) in numpy alone (`_solve_clamped`), and the residual of both
+    equations is checked with stencils against 1e-10.
     """
     bc = _wall_slopes(g, grid)
     omega, psi = _solve_clamped(bc, grid.h)

@@ -30,14 +30,15 @@ In a sector W is (4/h^4)(a_r a_r^T (x) I + I (x) a_c a_c^T), of rank
 rows + cols, and with d = -Lambda > 0 the problem is
 (d^2 + W) y^ = lambda d y^.  Lanczos with full reorthogonalization
 (Parlett, The Symmetric Eigenvalue Problem, 1980) finds the largest
-eigenvalues 1/lambda of d^1/2 (d^2 + W)^-1 d^1/2, the inverse applied by
-Woodbury (Buzbee, Dorr, George & Golub, SIAM J. Numer. Anal. 8, 1971), from
-a seeded random start: the ee and oo operators commute with the transpose,
-so a transpose-symmetric start would miss half their modes.  The odd-even
-sector is the transpose of the even-odd one, so every double eigenvalue the
-x<->y symmetry forces is a pair (even-odd mode, its transpose) in that
-order, not a rotation chosen by the eigensolver, whatever the BLAS thread
-count.
+eigenvalues 1/lambda of d^1/2 (d^2 + W)^-1 d^1/2 from a seeded random
+start: the ee and oo operators commute with the transpose, so a
+transpose-symmetric start would miss half their modes.  The inverse is
+one Woodbury solve (Buzbee, Dorr, George & Golub, SIAM J. Numer. Anal. 8,
+1971), `clamped_sector`, which with the ghost read of the wall rows also
+solves the lift's stream function.  The odd-even sector is the transpose
+of the even-odd one, so every double eigenvalue the x<->y symmetry forces
+is a pair (even-odd mode, its transpose) in that order, not a rotation
+chosen by the eigensolver, whatever the BLAS thread count.
 
 The Poisson solve behind the projector is an exact diagonalization of the
 compact 5-point Neumann operator by orthonormal DCT-II matrices, so
@@ -219,28 +220,34 @@ SECTORS = (("even", "even"), ("odd", "odd"), ("even", "odd"))
 PARITY_INDICES = {"even": slice(0, None, 2), "odd": slice(1, None, 2)}
 
 
-def _sector_operator(lam, ar, ac, h):
-    """y^ -> d^1/2 (d^2 + W)^-1 d^1/2 y^ on one sector's sine coefficients
-    (..., rows, cols), d = -lam, and the scale d^1/2.
+def clamped_sector(lam, ar, ac, rr, rc, shift):
+    """(f, z) -> (lam^2 + (a_r r_r^T (x) I + I (x) a_c r_c^T) / shift)^-1 (f + U z)
+    on one sector's sine coefficients (..., rows, cols).
 
-    W = (4/h^4) U U^T, U^T y^ = (y^^T a_r, y^ a_c), so (d^2 + W)^-1 =
-    G - G U C^-1 U^T G with G = d^-2 and C = (h^4/4) I + U^T G U, whose
-    blocks are diagonal, or G scaled by row and column.
+    a places on the node line next to a wall and r reads the wall row, in
+    the sine basis across the wall: the pencil's W is r = a, shift h^4/4;
+    the lift reads the ghost, r = 7 s_0 - 2 s_1 + s_2 / 3, shift h^4/2.
+    Wall data z = (z_r, z_c) enter placed by U = (a_r (x) I, I (x) a_c),
+    since inside f they would lose a factor 1/h to cancellation.  By
+    Woodbury, with R like U of r and G = lam^-2, the solve is
+    G f - G U C^-1 (R^T G f - shift z), C = shift I + R^T G U, whose blocks
+    are diagonal or G scaled by row and column; C is symmetric only when
+    r = a, so row vectors are multiplied by inv(C^T).
     """
-    root, g = np.sqrt(-lam), lam**-2
-    cross = ar[:, None] * g * ac
-    cap = np.block([[np.diag(ar**2 @ g), cross.T], [cross, np.diag(g @ ac**2)]])
-    cap[np.diag_indices_from(cap)] += h**4 / 4.0
-    cap_inv = np.linalg.inv(cap)
+    g = lam**-2
+    cap = np.block([[np.diag((rr * ar) @ g), (rr[:, None] * g * ac).T],
+                    [ar[:, None] * g * rc, np.diag(g @ (rc * ac))]])
+    cap[np.diag_indices_from(cap)] += shift
+    cap_inv_t = np.linalg.inv(cap.T)
 
-    def apply(y):
-        x = g * (root * y)
-        pq = np.concatenate([ar @ x, x @ ac], axis=-1) @ cap_inv
+    def solve(f, z=0.0):
+        x = g * f
+        pq = (np.concatenate([rr @ x, x @ rc], axis=-1) - shift * z) @ cap_inv_t
         p, q = pq[..., :len(ac)], pq[..., len(ac):]
         x -= g * (ar[:, None] * p[..., None, :] + q[..., :, None] * ac)
-        return root * x
+        return x
 
-    return apply, root
+    return solve
 
 
 def _lanczos(apply, shape, k):
@@ -281,8 +288,9 @@ def _square_eigenbasis(grid, m):
     for px, py in SECTORS:
         rows, cols = PARITY_INDICES[px], PARITY_INDICES[py]
         lam = mu[rows, None] + mu[None, cols]
-        sectors.append((rows, cols, lam.shape)
-                       + _sector_operator(lam, s[0, rows], s[0, cols], grid.h))
+        root, a = np.sqrt(-lam), (s[0, rows], s[0, cols])
+        solve = clamped_sector(lam, *a, *a, grid.h**4 / 4.0)
+        sectors.append((rows, cols, lam.shape, lambda y, f=solve, r=root: r * f(r * y), root))
 
     counts = [_start_count(m)] * len(sectors)
     solved = [None] * len(sectors)

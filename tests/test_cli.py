@@ -139,6 +139,18 @@ def test_profile_and_table_are_exclusive(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("content", [None, "0.5 abc\n", ""],
+                         ids=["missing", "non_numeric", "empty"])
+def test_bad_boundary_table_is_a_config_error(tmp_path, capsys, content):
+    table = tmp_path / "walls.txt"
+    if content is not None:
+        table.write_text(content)
+    path = write_config(tmp_path, boundary={"profile": None, "table": str(table)})
+    assert main(["solve", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and str(table) in err, err
+
+
 def test_subcommand_must_match_experiment(tmp_path, capsys):
     path = write_config(tmp_path)
     assert main(["eigs", "--config", path]) == 2
