@@ -15,7 +15,9 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from reproflow import stokes
-from reproflow.fields import Grid, VectorField, divergence, inner_h1, inner_l2
+from reproflow.fields import (
+    Grid, VectorField, dirichlet_sine, divergence, inner_h1, inner_l2,
+)
 from reproflow.stokes import (
     EigensolverError, LerayProjector, _cache_path, _mirror_parities, compute_eigenbasis,
 )
@@ -215,6 +217,29 @@ def test_sector_solve_matches_dense_pencil(nx):
     for m in range(1, (nx - 1) ** 2 // 4 + 1):
         got = compute_eigenbasis(Grid("square", nx), m).eigenvalues
         np.testing.assert_allclose(got, dense[:m], rtol=1e-10, err_msg=f"m = {m}")
+
+
+@pytest.mark.parametrize("read", ["mirror", "ghost"])
+def test_clamped_sector_matches_dense_solve(read):
+    # data in both f and z; the ghost read makes the capacitance matrix
+    # non-symmetric, so applying C^-T in place of C^-1 fails here
+    n, h = 12, 1.0 / 12
+    s, mu = dirichlet_sine(n, h)
+    rows, cols = stokes.PARITY_INDICES["even"], stokes.PARITY_INDICES["odd"]
+    lam = mu[rows, None] + mu[None, cols]
+    r = s[0] if read == "mirror" else 7.0 * s[0] - 2.0 * s[1] + s[2] / 3.0
+    ar, ac, rr, rc, shift = s[0, rows], s[0, cols], r[rows], r[cols], h**4 / 2.0
+    nr, nc = lam.shape
+    op = np.diag(lam.ravel() ** 2) + (np.kron(np.outer(ar, rr), np.eye(nc))
+                                      + np.kron(np.eye(nr), np.outer(ac, rc))) / shift
+    place = np.hstack([np.kron(ar[:, None], np.eye(nc)), np.kron(np.eye(nr), ac[:, None])])
+    rng = np.random.default_rng(5)
+    f, z = rng.standard_normal(lam.shape), rng.standard_normal(nr + nc) / h**3
+    want = np.linalg.solve(op, f.ravel() + place @ z).reshape(lam.shape)
+    got = stokes.clamped_sector(lam, ar, ac, rr, rc, shift)(f, z)
+    err = np.abs(got - want).max() / np.abs(want).max()
+    print(f"{read}: max|x - x_dense| / max|x_dense| = {err:.2e}")
+    assert err <= 1e-12
 
 
 @pytest.mark.parametrize("nx", [8, 12])
