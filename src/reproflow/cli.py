@@ -120,10 +120,6 @@ SCHEMA = {
         "tol": (1e-10, float),
         "pairs": (5, int),
     },
-    "budget": {
-        "alpha": (DEFAULT_BUDGET_FIXTURE["alpha"], float),
-        "k_force": (DEFAULT_BUDGET_FIXTURE["k_force"], float),
-    },
     "sweep": {
         "epsilons": ([0.4, 0.2, 0.1, 0.05], list),
         "samples": (100, int),
@@ -179,13 +175,17 @@ class RunConfig:
     seed: int
     solver: SolverConfig
     raw: dict  # the full effective config (what the manifest hashes)
+    # boundary.table resolved against the config file's directory, with the
+    # sha256 of its bytes; None without a table
+    table: dict = None
 
 
 def parse_config(path, out_override=None, seed_override=None):
     """Load, validate, and default-fill a YAML run config.
 
     Unknown keys anywhere in the tree are collected and reported with
-    their dotted path; nothing is silently ignored.
+    their dotted path; nothing is silently ignored.  A relative
+    boundary.table is read from the config file's directory.
     """
     try:
         with open(path) as fh:
@@ -249,8 +249,16 @@ def parse_config(path, out_override=None, seed_override=None):
     if errors:
         raise ConfigFileError("invalid config:\n  " + "\n  ".join(errors))
 
+    table = None
+    if b["table"] is not None:
+        table_path = os.path.join(os.path.dirname(os.path.abspath(path)), b["table"])
+        try:
+            with open(table_path, "rb") as fh:
+                table = {"path": table_path, "sha256": hashlib.sha256(fh.read()).hexdigest()}
+        except OSError as exc:
+            raise ConfigFileError(f"boundary.table: {table_path}: {exc.strerror}")
     return RunConfig(experiment=out["experiment"], out=out["out"],
-                     seed=out["seed"], solver=solver, raw=out)
+                     seed=out["seed"], solver=solver, raw=out, table=table)
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +313,8 @@ class RunContext:
 
     def boundary(self):
         b = self.config.raw["boundary"]
-        if b["table"] is not None:
-            return load_boundary_table(self.grid, b["table"])
+        if self.config.table is not None:
+            return load_boundary_table(self.grid, self.config.table["path"])
         if b["profile"] is not None:
             return boundary_profile(self.grid, b["profile"], amplitude=b["amplitude"])
         return BoundaryData(self.grid, {})
@@ -334,14 +342,10 @@ class RunContext:
         return GalerkinState(0.0, np.zeros(m))
 
 
-def _energy_rows(traj):
-    return [(t, a, b, c, d) for t, a, b, c, d in
-            zip(traj.times, traj.l2sq, traj.h1sq, traj.h2sq, traj.f_l2sq)]
-
-
 def _write_trajectory(ctx, traj):
     write_csv(ctx.path("energy.csv"),
-              ["t", "l2sq", "h1sq", "h2sq", "f_l2sq"], _energy_rows(traj))
+              ["t", "l2sq", "h1sq", "h2sq", "f_l2sq"],
+              zip(traj.times, traj.l2sq, traj.h1sq, traj.h2sq, traj.f_l2sq))
     m = traj.coeffs.shape[1]
     header = ["t"] + [f"c{j}" for j in range(m)]
     rows = [(t, *c) for t, c in zip(traj.times, traj.coeffs)]
@@ -472,11 +476,10 @@ def _run_stability(ctx):
 def _run_reproductive(ctx):
     cfg = ctx.config.solver
     rcfg = ctx.config.raw["reproductive"]
-    bcfg = ctx.config.raw["budget"]
     basis, boundary, lift, tensors, _ = ctx.pipeline()
 
     budget = validate_budget(boundary, lift, cfg.nu, budget=SmallnessBudget(
-        alpha=bcfg["alpha"], k_force=bcfg["k_force"],
+        alpha=DEFAULT_BUDGET_FIXTURE["alpha"], k_force=DEFAULT_BUDGET_FIXTURE["k_force"],
         m_radius=ctx.config.raw["verify"]["m_radius"]))
     for line in budget.lines():
         print(line)
@@ -530,8 +533,12 @@ RUNNERS = {
 # ---------------------------------------------------------------------------
 
 
-def _config_hash(effective):
+def _config_hash(config):
+    """sha256 prefix of the effective config (but its out) and the table's bytes."""
+    effective = {key: val for key, val in config.raw.items() if key != "out"}
     blob = json.dumps(effective, sort_keys=True).encode()
+    if config.table is not None:
+        blob += config.table["sha256"].encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
@@ -543,11 +550,13 @@ def run(config):
 
     manifest = {
         "experiment": config.experiment,
-        "config_hash": _config_hash(config.raw),
+        "config_hash": _config_hash(config),
         "code_version": __version__,
         "basis_cache_key": ctx.basis_cache_key(),
         "seed": config.seed,
     }
+    if config.table is not None:
+        manifest["boundary_table"] = config.table
     started = time.monotonic()
     code = 0
     try:
@@ -597,10 +606,6 @@ def main(argv=None):
             raise ConfigFileError(
                 f"config names experiment {config.experiment!r} but the "
                 f"subcommand is {args.command!r}")
-    except (ConfigFileError, InvalidBoundaryData) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
         code, _ = run(config)
     except (ConfigFileError, ConfigError, InvalidBoundaryData) as exc:
         print(f"config error: {exc}", file=sys.stderr)

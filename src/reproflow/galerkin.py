@@ -311,7 +311,6 @@ class Trajectory:
     times: np.ndarray
     coeffs: np.ndarray
     lam: np.ndarray
-    nu: float
     dt: float
     f_l2sq: np.ndarray
 
@@ -351,8 +350,6 @@ def solve(config, u0, lift, basis, tensors=None):
     check_dt_bound(config, tensors, u0.c)
 
     n = config.n_steps()
-    if lift.f_eps is None:
-        compute_forcing(lift, config.nu)
     fsq = np.full(n + 1, inner_l2(lift.f_eps, lift.f_eps))
 
     times = np.arange(n + 1) * config.dt
@@ -366,10 +363,10 @@ def solve(config, u0, lift, basis, tensors=None):
         except BlowupDetected as exc:
             exc.step_index = k
             exc.partial = Trajectory(times[:k + 1], coeffs[:k + 1].copy(),
-                                     tensors.lam, config.nu, config.dt, fsq[:k + 1])
+                                     tensors.lam, config.dt, fsq[:k + 1])
             raise
         coeffs[k + 1] = state.c
-    return Trajectory(times, coeffs, tensors.lam.copy(), config.nu, config.dt, fsq)
+    return Trajectory(times, coeffs, tensors.lam.copy(), config.dt, fsq)
 
 
 # ---------------------------------------------------------------------------

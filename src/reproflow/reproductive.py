@@ -20,7 +20,7 @@ import warnings
 
 import numpy as np
 
-from .galerkin import GalerkinState, assemble_tensors, solve, vnorm
+from .galerkin import GalerkinState, solve, vnorm
 from .lift import compute_forcing
 from .fields import inner_l2
 from .verification import RegimeViolation
@@ -157,14 +157,12 @@ class ContractionReport:
     ratios: list
     max_ratio: float
     envelope: float
-    pairs: int
-    seed: int
 
     def passed(self, tol_contr=0.1):
         return self.max_ratio <= self.envelope * (1.0 + tol_contr)
 
 
-def measure_contraction(config, lift, basis, pairs=5, seed=0, budget=None,
+def measure_contraction(config, lift, basis, pairs=5, seed=0, *, budget,
                         tensors=None):
     """Worst V-norm contraction ratio of the period map over seeded pairs.
 
@@ -175,32 +173,29 @@ def measure_contraction(config, lift, basis, pairs=5, seed=0, budget=None,
     (RegimeViolation) when the measured data exceeds the budget, since
     the contraction claim is only made in the small regime.
     """
-    if budget is not None and not budget.satisfied:
+    if not budget.satisfied:
         raise RegimeViolation(
             "data exceeds the smallness budget; contraction is not claimed: "
             + "; ".join(budget.lines()))
-    m_radius = budget.m_radius if budget is not None else None
     lam = basis.eigenvalues
-    scale = m_radius if m_radius is not None else 1.0
     rng = np.random.default_rng(seed)
     starts = np.empty((2 * pairs, len(lam)))
     for c in starts:  # draws only: the pairs are mapped as one stack below
         c[:] = rng.standard_normal(len(lam))
-        c *= scale * rng.uniform(0.2, 1.0) / vnorm(c, lam)
+        c *= budget.m_radius * rng.uniform(0.2, 1.0) / vnorm(c, lam)
     ends = map_L(GalerkinState(0.0, starts), config, lift, basis, tensors=tensors,
-                 m_radius=m_radius).c
+                 m_radius=budget.m_radius).c
     ratios = []
     for u0, y0, lu, ly in zip(starts[::2], starts[1::2], ends[::2], ends[1::2]):
         d0 = vnorm(u0 - y0, lam)
         if d0 > 0.0:  # a degenerate draw's ratio 0 is excluded from the max
             ratios.append(vnorm(lu - ly, lam) / d0)
     return ContractionReport(ratios=ratios, max_ratio=max(ratios) if ratios else 0.0,
-                             envelope=math.exp(-config.nu * config.T),
-                             pairs=pairs, seed=seed)
+                             envelope=math.exp(-config.nu * config.T))
 
 
 def find_reproductive(config, lift, basis, u0_init=None, tol=1e-10,
-                      max_iter=None, tensors=None, m_radius=None):
+                      max_iter=None, *, tensors, m_radius=None):
     """Picard iteration on the period map to the reproductive datum.
 
     Iterates u_{k+1} = L(u_k) from u0_init (default 0, i.e. the flow is
@@ -216,16 +211,12 @@ def find_reproductive(config, lift, basis, u0_init=None, tol=1e-10,
     so that equals ||v(T) - v(0)|| in L2 for the flow started at u_k;
     no further solve is made.
     """
-    if tensors is None:
-        tensors = assemble_tensors(basis, lift, nu=config.nu)
     lam = basis.eigenvalues
-    m = len(lam)
-    u = GalerkinState(0.0, np.zeros(m)) if u0_init is None else \
-        GalerkinState(0.0, u0_init.c.copy())
+    u = GalerkinState(0.0, np.zeros(len(lam)) if u0_init is None else u0_init.c.copy())
 
     residuals = []
     cap = max_iter
-    for k in range(max_iter if max_iter is not None else 10_000):
+    while True:
         image = map_L(u, config, lift, basis, tensors=tensors, m_radius=m_radius)
         r = vnorm(image.c - u.c, lam)
         residuals.append(r)
@@ -234,13 +225,11 @@ def find_reproductive(config, lift, basis, u0_init=None, tol=1e-10,
             return FixedPointReport(residuals=residuals, converged=True,
                                     state=u, l2_closure=closure,
                                     v0=basis.combine(u.c) + lift.G_eps)
-        if cap is None and residuals:
+        if cap is None:
             # geometric-series cap from the measured first residual
-            cap = math.ceil(math.log(residuals[0] / tol) / (config.nu * config.T)) + 2
-        if cap is not None and k + 1 >= cap:
-            break
+            cap = math.ceil(math.log(r / tol) / (config.nu * config.T)) + 2
+        if len(residuals) >= cap:
+            raise NonConvergence(
+                f"Picard iteration did not reach tol = {tol:.1e} within "
+                f"{len(residuals)} iterations (last residual {r:.3e})", residuals)
         u = GalerkinState(0.0, image.c.copy())
-    raise NonConvergence(
-        f"Picard iteration did not reach tol = {tol:.1e} within "
-        f"{len(residuals)} iterations (last residual {residuals[-1]:.3e})",
-        residuals)

@@ -23,7 +23,7 @@ import dataclasses
 import numpy as np
 
 from .fields import inner_l2, trilinear
-from .galerkin import GalerkinState, assemble_tensors, solve, vnorm
+from .galerkin import GalerkinState, solve, vnorm
 from .stokes import apply_stokes
 
 ENERGY_TOL = 1e-8
@@ -113,7 +113,7 @@ def check_energy_inequality(traj, nu, c_omega, beta=0.0, kappa=0.0, tol=ENERGY_T
                             regime={"beta": beta, "beta_max": 0.25 * nu, "kappa": kappa})
 
 
-def calibrate_slack(config, u0, lift, basis):
+def calibrate_slack(config, u0, lift, basis, tensors):
     """Slack rate kappa for the energy monitor from a dt-halving pair.
 
     Runs the configured solve at dt and dt/2, takes the worst signed
@@ -122,7 +122,6 @@ def calibrate_slack(config, u0, lift, basis):
 
         kappa = max(0, (viol(dt) - viol(dt/2)) / (dt - dt/2)).
     """
-    tensors = assemble_tensors(basis, lift, nu=config.nu)
     c_omega = poincare_constant(basis)
 
     def worst(cfg):
@@ -196,23 +195,23 @@ def check_tensors(tensors, basis, lift):
                             regime={"terms": " ".join(t[0] for t in terms)})
 
 
-def stability_experiment(config, v0, w0, lift, basis, tensors=None, m_radius=None):
+def stability_experiment(config, v0, w0, lift, basis, tensors=None, *, m_radius):
     """Decay of the difference of two runs against the exp(-nu t) envelope.
 
     Solves from both initial coefficient states as one stacked pair, forms
     z_n = c_v(n) - c_w(n), and reports the worst ratio of ||z(t_n)||
     (V-norm) to ||z(0)|| exp(-nu t_n), plus whether the norm sequence is
     monotone non-increasing.  The ratio is 0 wherever the envelope is,
-    so identical states are reported with ratio 0 rather than 0/0.
+    so identical states are reported with ratio 0 rather than 0/0.  Either
+    run leaving the smallness ball of radius m_radius is a RegimeViolation.
     """
     traj = solve(config, GalerkinState(0.0, np.stack([v0.c, w0.c])), lift, basis,
                  tensors=tensors)
 
-    if m_radius is not None:
-        sup = np.sqrt(traj.h1sq.max())
-        if sup > m_radius:
-            raise RegimeViolation(
-                f"sup ||u|| = {sup:.3e} leaves the smallness ball {m_radius:.3e}")
+    sup = np.sqrt(traj.h1sq.max())
+    if sup > m_radius:
+        raise RegimeViolation(
+            f"sup ||u|| = {sup:.3e} leaves the smallness ball {m_radius:.3e}")
 
     z_norms = vnorm(traj.coeffs[:, 0] - traj.coeffs[:, 1], traj.lam)
     envelope = z_norms[0] * np.exp(-config.nu * traj.times)

@@ -119,7 +119,7 @@ def test_criterion_4_energy_inequality(config48, bump48, lift48, zero_lift48, ba
     budget = validate_budget(bump48, lift48, nu=config48.nu)
     assert budget.satisfied, budget.lines()
     zero = GalerkinState(0.0, np.zeros(lam.size))
-    kappa = calibrate_slack(config48, zero, lift48, basis48)
+    kappa = calibrate_slack(config48, zero, lift48, basis48, tensors48)
 
     starts = [zero.c]
     for seed in (0, 1):

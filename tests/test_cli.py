@@ -1,6 +1,7 @@
 """The run front end: config validation, artifacts, manifests, exit codes."""
 
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -14,7 +15,13 @@ import yaml
 from reproflow import __version__, cli
 from reproflow.cli import main, parse_config, ConfigFileError
 from reproflow.fields import Grid
-from reproflow.stokes import compute_eigenbasis
+from reproflow.galerkin import BlowupDetected
+from reproflow.lift import SolverFailure
+from reproflow.reproductive import NonConvergence
+from reproflow.stokes import EigensolverError, compute_eigenbasis
+
+# a tent of wall speed on the bottom wall, clear of the corners
+TENT = "# s value\n0.0 0\n0.3 0.0\n0.5 {peak}\n0.7 0.0\n3.9 0\n"
 
 
 def write_config(tmp_path, name="run.yaml", **overrides):
@@ -41,8 +48,9 @@ def read_manifest(outdir):
 
 def test_unknown_keys_reported_with_paths(tmp_path, capsys):
     path = tmp_path / "bad.yaml"
-    # reproductive.max_iter and budget.m_radius are not keys: the Picard cap
-    # is derived from the first residual, and verify.m_radius is the ball
+    # reproductive.max_iter and budget are not keys: the Picard cap is
+    # derived from the first residual, the budget's bounds are the calibrated
+    # fixture's, and verify.m_radius is the ball
     path.write_text("experiment: solve\nboundar: {profile: x}\n"
                     "verify: {kapa: 1.0}\nsolver: {dx: 0.1}\n"
                     "reproductive: {max_iter: 3}\nbudget: {m_radius: 0.05}\n")
@@ -50,7 +58,7 @@ def test_unknown_keys_reported_with_paths(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     for needle in ("boundar", "verify.kapa", "solver.dx", "reproductive.max_iter",
-                   "budget.m_radius"):
+                   "budget"):
         assert f"{needle}: unknown key" in err, err
 
 
@@ -67,16 +75,17 @@ def test_null_rejected_where_default_is_set(tmp_path, capsys, dotted):
 @pytest.mark.parametrize("dotted, value", [
     ("reproductive.tol", 0.0), ("reproductive.tol", -1.0), ("reproductive.pairs", 0),
     ("sweep.epsilons", []), ("sweep.epsilons", [0.4, 1.5]), ("sweep.epsilons", ["a"]),
-    ("sweep.samples", 0), ("stability.perturbation", 0.0)],
+    ("sweep.samples", 0), ("stability.perturbation", 0.0),
+    ("verify", 3), ("solver.m", "six"), ("initial.kind", "box")],
     ids=["tol=0", "tol<0", "pairs=0", "epsilons=[]", "epsilon>1", "epsilon=str",
-         "samples=0", "perturbation=0"])
+         "samples=0", "perturbation=0", "section=number", "m=str", "kind=box"])
 def test_out_of_range_values_rejected(tmp_path, capsys, dotted, value):
     # tol <= 0 and a bad epsilon used to end in a traceback; zero pairs,
     # no epsilons, no samples or a zero perturbation passed a gate with
     # nothing measured
-    section, key = dotted.split(".")
+    section, _, key = dotted.partition(".")
     exp = {"sweep": "lift", "stability": "stability"}.get(section, "reproductive")
-    path = write_config(tmp_path, experiment=exp, **{section: {key: value}})
+    path = write_config(tmp_path, experiment=exp, **{section: {key: value} if key else value})
     rc = main([exp, "--config", path])
     err = capsys.readouterr().err
     assert rc == 2
@@ -151,6 +160,74 @@ def test_bad_boundary_table_is_a_config_error(tmp_path, capsys, content):
     assert "config error" in err and str(table) in err, err
 
 
+@pytest.mark.parametrize("exp, text, needle", [
+    ("solve", "experiment: solve\nsolver: {nu: [1.0\n", "config is not valid YAML"),
+    ("solve", "experiment: bogus\n", "experiment: must be one of"),
+    ("lift", "experiment: lift\n", "boundary: the lift experiment needs wall data"),
+    ("reproductive", "experiment: reproductive\nboundary: {amplitude: 0.01}\n",
+     "boundary: the reproductive experiment needs wall data")],
+    ids=["invalid_yaml", "unknown_experiment", "lift_without_walls",
+         "reproductive_without_walls"])
+def test_config_refusals_name_the_problem(tmp_path, capsys, exp, text, needle):
+    path = tmp_path / "run.yaml"
+    path.write_text(text)
+    assert main([exp, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and needle in err, err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_hash_covers_the_table_bytes(tmp_path, capsys):
+    table = tmp_path / "walls.txt"
+    path = write_config(tmp_path, boundary={"profile": None, "table": "walls.txt"})
+    manifests = []
+    for out, peak in (("a", 0.01), ("b", 0.01), ("c", 0.02)):
+        table.write_text(TENT.format(peak=peak))
+        assert main(["solve", "--config", path, "--out", str(tmp_path / out)]) == 0
+        manifests.append(read_manifest(str(tmp_path / out)))
+    capsys.readouterr()
+    a, b, c = manifests
+    assert a["config_hash"] == b["config_hash"]  # only --out differs
+    assert c["config_hash"] != a["config_hash"]  # the table was edited
+    digest = hashlib.sha256(TENT.format(peak=0.02).encode()).hexdigest()
+    assert c["boundary_table"] == {"path": str(table), "sha256": digest}
+
+
+def test_relative_table_is_read_beside_the_config(tmp_path, capsys, monkeypatch):
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    (sub / "walls.txt").write_text(TENT.format(peak=1.0))
+    write_config(sub, name="rel.yaml", experiment="lift", solver={"nx": 48, "m": 4},
+                 boundary={"profile": None, "table": "walls.txt"}, sweep={"samples": 20})
+    csvs = []
+    for cwd, config in ((tmp_path, "sub/rel.yaml"), (sub, "rel.yaml")):
+        monkeypatch.chdir(cwd)
+        out = tmp_path / f"out_{cwd.name}"
+        assert main(["lift", "--config", config, "--out", str(out)]) == 0
+        csvs.append((out / "beta_vs_eps.csv").read_bytes())
+        # the effective config keeps the path as written
+        eff = json.loads((out / "effective_config.json").read_text())
+        assert eff["boundary"]["table"] == "walls.txt"
+    capsys.readouterr()
+    assert csvs[0] == csvs[1]
+
+
+@pytest.mark.parametrize("failure", [
+    BlowupDetected(7, 2e6), SolverFailure("residual 1e-3"), EigensolverError("stalled"),
+    NonConvergence("tol not reached", [1e-2, 1e-3])], ids=lambda exc: type(exc).__name__)
+def test_numerical_failure_exits_3(tmp_path, capsys, monkeypatch, failure):
+    def fail(*args, **kwargs):
+        raise failure
+
+    monkeypatch.setattr(cli, "solve", fail)
+    out = str(tmp_path / "out")
+    assert main(["solve", "--config", write_config(tmp_path, out=out)]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+    man = read_manifest(out)
+    assert man["passed"] is False
+    assert man["numerical_failure"].startswith(f"{type(failure).__name__}: ")
+
+
 def test_subcommand_must_match_experiment(tmp_path, capsys):
     path = write_config(tmp_path)
     assert main(["eigs", "--config", path]) == 2
@@ -167,7 +244,8 @@ def test_defaults_are_logged(tmp_path):
     cfg = parse_config(path)
     # untouched sections arrive fully defaulted
     assert cfg.raw["reproductive"]["tol"] == 1e-10
-    assert cfg.raw["budget"]["k_force"] == 1.5
+    assert cfg.raw["verify"]["m_radius"] == 0.05
+    assert "budget" not in cfg.raw
     assert cfg.raw["sweep"]["epsilons"] == [0.4, 0.2, 0.1, 0.05]
     assert cfg.solver.nx == 24
 

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from reproflow import reproductive
-from reproflow.galerkin import GalerkinState, SolverConfig, Tensors, solve, vnorm
+from reproflow.galerkin import (
+    GalerkinState,
+    SolverConfig,
+    Tensors,
+    assemble_tensors,
+    solve,
+    vnorm,
+)
 from reproflow.reproductive import (
     BallExit,
     NonConvergence,
@@ -169,7 +176,8 @@ def test_reproductive_start_independence(config32, lift32, basis32, tensors32):
 
 
 def test_zero_data_fixed_point_is_rest(config32, basis32, zero_lift32):
-    report = find_reproductive(config32, zero_lift32, basis32)
+    report = find_reproductive(config32, zero_lift32, basis32,
+                               tensors=assemble_tensors(basis32, zero_lift32))
     assert report.converged
     assert report.residuals == [0.0]
     assert np.all(report.state.c == 0.0)
@@ -184,10 +192,28 @@ def test_nonconvergence_reports_partial_residuals(config32, lift32, basis32,
     assert info.value.residuals[0] > 1e-30
 
 
-def test_contraction_skips_degenerate_draws(config32, lift32, basis32,
+def test_contraction_skips_degenerate_draws(monkeypatch, config32, lift32, basis32,
                                             tensors32):
-    # seed chosen arbitrarily; the report must carry usable pairs
-    report = measure_contraction(config32, lift32, basis32, pairs=2, seed=7,
-                                 tensors=tensors32)
+    # pair 0 draws the same start twice: its ratio would be 0/0, so it is left out
+    default_rng = np.random.default_rng
+
+    def repeat_first_start(seed):
+        rng = default_rng(seed)
+        replay = [rng.standard_normal(8), rng.uniform(0.2, 1.0)] * 2
+
+        class Draws:
+            def standard_normal(self, n):
+                return replay.pop(0) if replay else rng.standard_normal(n)
+
+            def uniform(self, lo, hi):
+                return replay.pop(0) if replay else rng.uniform(lo, hi)
+
+        return Draws()
+
+    monkeypatch.setattr(np.random, "default_rng", repeat_first_start)
+    budget = validate_budget(lift32.boundary, lift32, nu=1.0)
+    report = measure_contraction(config32, lift32, basis32, pairs=3, seed=7,
+                                 budget=budget, tensors=tensors32)
     assert len(report.ratios) == 2
-    assert all(np.isfinite(r) for r in report.ratios)
+    assert all(np.isfinite(r) and r > 0.0 for r in report.ratios)
+    assert report.max_ratio == max(report.ratios)

@@ -134,6 +134,15 @@ def test_cache_round_trip_and_corruption(tmp_path):
         assert np.array_equal(c.ustack, a.ustack), name
         assert np.array_equal(c.vstack, a.vstack), name
 
+    # a file numpy cannot read at all is rebuilt, and the rebuild replaces it
+    with open(path, "wb") as fh:
+        fh.write(b"not an npz archive")
+    c = compute_eigenbasis(grid, 3, cache_dir=cache)
+    assert np.array_equal(c.eigenvalues, a.eigenvalues)
+    assert np.array_equal(c.ustack, a.ustack) and np.array_equal(c.vstack, a.vstack)
+    with np.load(path, allow_pickle=False) as d:
+        assert np.array_equal(d["ustack"], a.ustack)
+
 
 def test_gram_is_identity(basis32):
     g = basis32.gram()

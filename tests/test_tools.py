@@ -1,8 +1,8 @@
 """The scripts under tools/ and the benchmark under bench/ still fit the library.
 
 The scripts are not run (some take minutes); each is parsed, every name
-it imports from reproflow must resolve, and every keyword argument
-passed to an imported function must be one it accepts.  The benchmark
+it imports from reproflow must resolve, and every call of an imported
+function must bind to its signature.  The benchmark
 is read the same way: the names `bench/workload.py` reaches through
 ``from reproflow import (...)`` and the (module, attribute) pairs the
 tracer in `bench/spans.py` patches must exist, so that a library rename
@@ -48,12 +48,19 @@ def _resolve(label, imports):
 
 
 def _check_library_calls(label, tree, resolved):
-    """Every `mod.name` on an imported module exists; every keyword is accepted."""
+    """Every `mod.name` on an imported module exists; every call binds to its target.
+
+    A call binds when its positional count and keywords fit the target's
+    signature (a missing required parameter, an extra positional or an
+    unknown keyword fail); of a call with starred arguments only the
+    named keywords are checked.  Returns the number of calls checked.
+    """
     for node in ast.walk(tree):
         if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                 and isinstance(resolved.get(node.value.id), types.ModuleType)):
             assert hasattr(resolved[node.value.id], node.attr), (
                 f"{label}:{node.lineno}: {node.value.id} has no {node.attr}")
+    bound = 0
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
@@ -68,18 +75,26 @@ def _check_library_calls(label, tree, resolved):
             continue
         if not callable(target):
             continue
-        params = inspect.signature(target).parameters
-        if any(p.kind is p.VAR_KEYWORD for p in params.values()):
-            continue
-        for kw in node.keywords:
-            assert kw.arg is None or kw.arg in params, (
-                f"{label}:{node.lineno}: {name}() has no parameter {kw.arg!r}")
+        sig = inspect.signature(target)
+        keywords = {kw.arg: None for kw in node.keywords if kw.arg is not None}
+        starred = (any(isinstance(a, ast.Starred) for a in node.args)
+                   or len(keywords) < len(node.keywords))
+        try:
+            if starred:  # only the named keywords can be checked
+                sig.bind_partial(**keywords)
+            else:
+                sig.bind(*[None] * len(node.args), **keywords)
+        except TypeError as exc:
+            pytest.fail(f"{label}:{node.lineno}: {name}() call does not bind: {exc}")
+        bound += 1
+    return bound
 
 
 @pytest.mark.parametrize("script", TOOLS, ids=lambda p: p.name)
 def test_tool_imports_resolve(script):
     tree = ast.parse(script.read_text(), filename=str(script))
-    _check_library_calls(script.name, tree, _resolve(script.name, _library_imports(tree)))
+    assert _check_library_calls(script.name, tree,
+                                _resolve(script.name, _library_imports(tree))) > 0
 
 
 def test_bench_uses_existing_library_names():
@@ -87,7 +102,7 @@ def test_bench_uses_existing_library_names():
     tree = ast.parse(path.read_text(), filename=str(path))
     imports = _library_imports(tree)
     assert {"galerkin", "lift", "stokes"} <= set(imports), "workload.py imports moved"
-    _check_library_calls(path.name, tree, _resolve(path.name, imports))
+    assert _check_library_calls(path.name, tree, _resolve(path.name, imports)) > 0
 
     path = BENCH / "spans.py"
     tree = ast.parse(path.read_text(), filename=str(path))

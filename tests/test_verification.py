@@ -89,22 +89,23 @@ def test_h1_ball_monitor(bump_traj):
     assert tight.regime["sup_vnorm"] > 1e-9
 
 
-def test_calibrate_slack_nonnegative(config32, lift32, basis32):
+def test_calibrate_slack_nonnegative(config32, lift32, basis32, tensors32):
     kappa = calibrate_slack(config32, GalerkinState(0.0, np.zeros(8)),
-                            lift32, basis32)
+                            lift32, basis32, tensors32)
     print(f"calibrated slack rate kappa = {kappa:.6e}")
     assert 0.0 <= kappa < 1.0
     # pinned, so that a change to the energy formula shows here
     assert kappa == pytest.approx(6.30530855971756e-4, rel=1e-14, abs=0)
 
 
-def test_kappa_default_is_the_calibrated_rate(basis48, lift48):
+def test_kappa_default_is_the_calibrated_rate(basis48, lift48, tensors48):
     # the calibration of tools/calibrate_regime.py: the standard fixture,
     # T = 0.5, from the last of three rng(11) draws at V-norm 0.05
     draws = np.random.default_rng(11).standard_normal((3, 32))
     draws *= 0.05 / vnorm(draws, basis48.eigenvalues)[:, None]
     cfg = SolverConfig(nu=1.0, T=0.5, dt=1e-3, m=32, nx=48)
-    kappa = calibrate_slack(cfg, GalerkinState(0.0, draws[-1]), lift48, basis48)
+    kappa = calibrate_slack(cfg, GalerkinState(0.0, draws[-1]), lift48, basis48,
+                            tensors48)
     print(f"calibrated kappa {kappa:.8e}, default {SCHEMA['verify']['kappa'][0]:.8e}")
     assert SCHEMA["verify"]["kappa"][0] == pytest.approx(kappa, rel=1e-6)
 

@@ -79,7 +79,7 @@ print(f"dt bound at radius M: {explicit_dt_bound(tensors, c):.4e} (dt = {DT})")
 cfg_e = SolverConfig(nu=NU, T=0.5, dt=DT, m=M_MODES, nx=NX)
 u0 = GalerkinState(0.0, c)  # last draw, radius M
 t0 = time.time()
-kappa = calibrate_slack(cfg_e, u0, lift, basis)
+kappa = calibrate_slack(cfg_e, u0, lift, basis, tensors)
 print(f"kappa (energy slack rate) = {kappa:.8e}  ({time.time()-t0:.1f}s)")
 
 # energy monitor at the fixture with the calibrated slack
