@@ -49,6 +49,14 @@ def test_advection_tensor_antisymmetry(tensors32):
     assert skew == 0.0
 
 
+def test_flat_b_is_a_view_on_a_cache_line(tensors32, basis32, lift32):
+    # the step's products with the flat B run up to 1.5x slower off a 64-byte
+    # line, so no assembly may leave B where malloc happened to put it
+    for tensors in [tensors32] + [assemble_tensors(basis32, lift32) for _ in range(4)]:
+        assert tensors.B_flat.ctypes.data % 64 == 0
+        assert np.shares_memory(tensors.B_flat, tensors.B)
+
+
 def test_lift_coupling_antisymmetry(tensors32):
     e = tensors32.E
     skew = np.abs(e + e.T).max()
