@@ -106,6 +106,54 @@ def check_dt_bound(config, tensors, c0):
 # tensors
 
 
+# From this many modes on, the quadratic term reads the pair-packed W rather
+# than B_flat: the smallest m measured at which W wins for one state and for
+# a 40-row stack alike.  `_nonstiff` per call in us, B_flat -> W, medians of
+# 11 interleaved rounds on one BLAS thread of a 2-vCPU Xeon (2 MiB L2):
+#   m = 40: 13.4 -> 16.0 (k = 1),  281 -> 218 (k = 40)
+#   m = 48: 18.4 -> 19.8,          518 -> 384
+#   m = 52: 23.9 -> 26.0,          666 -> 522
+#   m = 56: 33.9 -> 28.8,          989 -> 586
+#   m = 64: 73.8 -> 38.2,         2620 -> 933
+# Below it a state pays more for gathering its pair products than it saves
+# in bytes of B.  The choice never depends on the stack size k.
+PACKED_MIN_M = 56
+
+
+def _aligned_empty(shape):
+    """An uninitialised float64 array that starts on a 64-byte cache line.
+
+    The step's products with B run up to 1.5x slower off a line, and
+    where malloc puts an array varies by process.
+    """
+    n = int(np.prod(shape))
+    store = np.empty(n + 8)
+    return store[(-store.ctypes.data % 64) // 8:][:n].reshape(shape)
+
+
+def _pack_pairs(b):
+    """W and its pair indices (ia, il) for B (see `Tensors`).
+
+    The pairs i <= l run row by row, as `np.triu_indices` lists them.  W
+    is padded with zero rows, and the indices with the pair (0, 0), to a
+    multiple of 8 pairs: with an unpadded count (m = 58 to 61, 66 to 69)
+    rows of a stack did not step bitwise as they would alone.
+    """
+    m = b.shape[0]
+    ia, il = np.triu_indices(m)
+    n = -(-len(ia) // 8) * 8
+    w = _aligned_empty((n, m))
+    w[len(ia):] = 0.0
+    start = 0
+    for i in range(m):
+        # one row at a time: a whole-B gather would double the peak memory
+        w[start] = b[i, i]
+        np.add(b[i, i + 1:], b[i + 1:, i], out=w[start + 1:start + m - i])
+        start += m - i
+    pad = np.zeros(n - len(ia), dtype=ia.dtype)
+    return w, (np.concatenate([ia, pad]), np.concatenate([il, pad]))
+
+
 @dataclasses.dataclass(frozen=True)
 class Tensors:
     """Quadrature tensors of the expanded coefficient system.
@@ -116,10 +164,23 @@ class Tensors:
     the forcing projection.  The lift is one steady field G, so D, E
     and F are one (m, m), (m, m) and (m,) array each.
 
-    The step loop reads two arrays built once here: DE = D + E and
-    B_flat, B as a C-contiguous (m, m*m) matrix (a view, or a copy when
-    B is a slice of a larger tensor), so that each quadratic term is
-    two matrix-vector products with no per-step copy.
+    The step loop reads arrays built once here: DE = D + E, and one of
+    two layouts of B for the quadratic term sum_{i,l} B[i, l, j] c_i c_l
+    (`quadratic_term`), chosen from m alone:
+
+    * below PACKED_MIN_M modes, B_flat: B as a C-contiguous (m, m*m)
+      matrix, so that the term is two matrix-vector products;
+    * from PACKED_MIN_M on, W: only the part of B symmetric in (i, l)
+      enters the term, so row p of W, for the pair i = ia[p] <= l = il[p]
+      of `pairs = (ia, il)`, holds B[i, l, :] + B[l, i, :], or B[i, i, :]
+      on the diagonal.  The term is one product of the pair products
+      c_i c_l with W, which has half the bytes of B: at m = 64, B (2.1 MB)
+      no longer fits in a 2 MiB L2 beside the step's other data, and W
+      (1.06 MB) does.  Below the threshold W and `pairs` are None.
+
+    B_flat and W start on a 64-byte cache line.  B_flat is a view of B
+    when B is C-contiguous and on a line, and a copy otherwise, such as
+    for a slice of a larger tensor.
     """
 
     B: np.ndarray
@@ -129,12 +190,20 @@ class Tensors:
     lam: np.ndarray
     DE: np.ndarray = dataclasses.field(init=False, repr=False)
     B_flat: np.ndarray = dataclasses.field(init=False, repr=False)
+    W: np.ndarray = dataclasses.field(init=False, repr=False)
+    pairs: tuple = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self):
         m = self.B.shape[0]
+        b = self.B
+        if not b.flags.c_contiguous or b.ctypes.data % 64:
+            b = _aligned_empty(b.shape)
+            b[...] = self.B
+        w, pairs = _pack_pairs(b) if m >= PACKED_MIN_M else (None, None)
         object.__setattr__(self, "DE", self.D + self.E)
-        object.__setattr__(self, "B_flat",
-                           np.ascontiguousarray(self.B).reshape(m, m * m))
+        object.__setattr__(self, "B_flat", b.reshape(m, m * m))
+        object.__setattr__(self, "W", w)
+        object.__setattr__(self, "pairs", pairs)
 
 
 def _flat(w):
@@ -191,8 +260,15 @@ def assemble_tensors(basis, lift, nu=None):
     advect(w_l, G) for D and advect(G, w_l) for E, against every mode,
     since G has no mirror parity.  Working memory beyond the basis is
     block-sized: it does not grow with m*N.  `nu` is needed exactly when
-    the lift's forcing has not been attached yet.
+    the lift's forcing has not been attached yet.  The sweep's arrays are
+    released before `Tensors` packs W: packed beside them, W raised the
+    peak memory of a 48/64 run by up to 4 MB.
     """
+    return Tensors(*_sweep(basis, lift, nu))
+
+
+def _sweep(basis, lift, nu):
+    """B, D, E, F and lam of `assemble_tensors`, in mode order."""
     m = len(basis.eigenvalues)
     lam = basis.eigenvalues.copy()
     g = basis.grid
@@ -204,7 +280,9 @@ def assemble_tensors(basis, lift, nu=None):
             raise ValueError("lift has no forcing attached; pass nu")
         compute_forcing(lift, nu)
 
-    # everything below runs in class order and is put back in mode order last
+    # everything below runs in class order and is put back in mode order last,
+    # except t1: it is written in mode order, since a reordered copy would hold
+    # a second m^3 array beside it
     ustack, vstack = basis.ustack, basis.vstack
     n_ufaces = ustack[0].size
     flat = np.empty((m, n_ufaces + vstack[0].size))
@@ -234,7 +312,8 @@ def assemble_tensors(basis, lift, nu=None):
                 advect_into(bu[:k], bv[:k], transport_stencils(uflat[i], vflat[i], g),
                             grads, g)
                 allowed = rows[(-par[i][0] * cls[0], -par[i][1] * cls[1])]
-                t1[i, blk, allowed] = w2 * (buf[:k] @ flat[allowed].T)
+                t1[order[i]][np.ix_(order[blk], order[allowed])] = (
+                    w2 * (buf[:k] @ flat[allowed].T))
                 r[i, blk] = w2 * (gmat @ buf[:k].T)[0]
             advect_into(bu[:k], bv[:k], transport_stencils(ub, vb, g),
                         gradient_stencils(gu, gv, g), g)
@@ -242,16 +321,12 @@ def assemble_tensors(basis, lift, nu=None):
             advect_into(bu[:k], bv[:k], transport_stencils(gu, gv, g), grads, g)
             half[blk] = w2 * (buf[:k] @ flat.T)
     mode_order = np.argsort(order)
-    t1 = t1[np.ix_(mode_order, mode_order, mode_order)]
-    # B starts on a 64-byte cache line: the step's products with the flat B run
-    # up to 1.5x slower off one, and where malloc puts it varies by process
-    store = np.empty(m**3 + 8)
-    b = store[(-store.ctypes.data % 64) // 8:][:m**3].reshape(m, m, m)
+    b = _aligned_empty((m, m, m))
     np.subtract(t1, t1.transpose(0, 2, 1), out=b)
     b *= 0.5
     pair = np.ix_(mode_order, mode_order)
-    return Tensors(B=b, D=0.5 * (s - r)[pair], E=0.5 * (half - half.T)[pair],
-                   F=w2 * (flat @ _flat(lift.f_eps))[mode_order], lam=lam)
+    return (b, 0.5 * (s - r)[pair], 0.5 * (half - half.T)[pair],
+            w2 * (flat @ _flat(lift.f_eps))[mode_order], lam)
 
 
 # ---------------------------------------------------------------------------
@@ -272,17 +347,29 @@ def vnorm(c, lam):
     return np.sqrt((c**2) @ lam)
 
 
-def _nonstiff(c, b_flat, de, f):
-    # each stack row through its own (1, m) products: bitwise its own solve
-    r = c[..., None, :]
-    quad = r @ (r @ b_flat).reshape(c.shape + c.shape[-1:])
-    return (-quad - r @ de + f)[..., 0, :]
+def quadratic_term(c, tensors):
+    """sum_{i,l} B[i, l, :] c_i c_l for a state (m,) or each row of a stack (k, m).
+
+    Returned with shape (..., 1, m).  Reads B in the layout `Tensors`
+    chose from m (B_flat or the pair-packed W), whatever the shape of c;
+    each stack row goes through its own (1, .) products, so it is
+    bitwise the same as that state alone.
+    """
+    if tensors.W is None:
+        r = c[..., None, :]
+        return r @ (r @ tensors.B_flat).reshape(c.shape + c.shape[-1:])
+    ia, il = tensors.pairs
+    return (c[..., ia] * c[..., il])[..., None, :] @ tensors.W
+
+
+def _nonstiff(c, tensors):
+    return (-quadratic_term(c, tensors) - c[..., None, :] @ tensors.DE
+            + tensors.F)[..., 0, :]
 
 
 def rhs(state, tensors, nu):
     """Full coefficient derivative of a state (m,) or a stack (k, m)."""
-    return -nu * tensors.lam * state.c + _nonstiff(state.c, tensors.B_flat, tensors.DE,
-                                                   tensors.F)
+    return -nu * tensors.lam * state.c + _nonstiff(state.c, tensors)
 
 
 def step(state, tensors, config, _efactor=None):
@@ -295,10 +382,10 @@ def step(state, tensors, config, _efactor=None):
     """
     dt, nu = config.dt, config.nu
     e1 = _efactor if _efactor is not None else np.exp(-nu * tensors.lam * dt)
-    c, b_flat, de, f = state.c, tensors.B_flat, tensors.DE, tensors.F
-    k1 = _nonstiff(c, b_flat, de, f)
+    c = state.c
+    k1 = _nonstiff(c, tensors)
     c_pred = e1 * (c + dt * k1)
-    k2 = _nonstiff(c_pred, b_flat, de, f)
+    k2 = _nonstiff(c_pred, tensors)
     c_new = e1 * (c + (0.5 * dt) * k1) + (0.5 * dt) * k2
 
     peak = np.abs(c_new).max()

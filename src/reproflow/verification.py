@@ -23,7 +23,7 @@ import dataclasses
 import numpy as np
 
 from .fields import inner_l2, trilinear
-from .galerkin import GalerkinState, solve, vnorm
+from .galerkin import GalerkinState, quadratic_term, solve, vnorm
 from .stokes import apply_stokes
 
 ENERGY_TOL = 1e-8
@@ -163,10 +163,13 @@ def check_tensors(tensors, basis, lift):
         c . E d                      vs  b(G, u_c, u_d)
         c . F                        vs  (u_c, f)
 
-    B is read in the flat layout the step kernel uses.  Each deviation is
+    The B form is `galerkin.quadratic_term`, the step kernel's own, so B
+    is read in the layout the step uses at this m: B_flat, or the
+    pair-packed W from `PACKED_MIN_M` modes on.  Each deviation is
     divided by the larger of the field value and the coefficient form
-    taken in absolute values (|c|^T |M| |d|), so a draw whose term happens
-    to be near 0 cannot fail and a zeroed tensor reads 1; two exact zeros
+    taken in absolute values (|c|^T |M| |d|, for B from B_flat), so a draw
+    whose term happens to be near 0 cannot fail and a zeroed tensor reads
+    1; two exact zeros
     (D, E and F of the zero lift) read 0.  B drops out of the energy
     balance by skew symmetry, so the energy monitor cannot see a defect
     there; this audit does.
@@ -176,12 +179,12 @@ def check_tensors(tensors, basis, lift):
     c, d = rng.standard_normal(m), rng.standard_normal(m)
     ac, ad = np.abs(c), np.abs(d)
     uc, ud = basis.combine(c), basis.combine(d)
-    b_flat, g = tensors.B_flat, lift.G_eps
+    g = lift.G_eps
     terms = [
         ("lam", (c * tensors.lam) @ c, (ac * np.abs(tensors.lam)) @ ac,
          inner_l2(apply_stokes(uc), uc)),
-        ("B", c @ (c @ b_flat).reshape(m, m) @ d,
-         ac @ (ac @ np.abs(b_flat)).reshape(m, m) @ ad, trilinear(uc, uc, ud)),
+        ("B", quadratic_term(c, tensors)[0] @ d,
+         ac @ (ac @ np.abs(tensors.B_flat)).reshape(m, m) @ ad, trilinear(uc, uc, ud)),
         ("D", c @ tensors.D @ d, ac @ np.abs(tensors.D) @ ad, trilinear(uc, g, ud)),
         ("E", c @ tensors.E @ d, ac @ np.abs(tensors.E) @ ad, trilinear(g, uc, ud)),
         ("F", c @ tensors.F, ac @ np.abs(tensors.F), inner_l2(uc, lift.f_eps)),

@@ -76,6 +76,17 @@ def tensors48(basis48, lift48):
 
 
 @pytest.fixture(scope="session")
+def basis48_64(square48, cache_dir):
+    return compute_eigenbasis(square48, 64, cache_dir=cache_dir)
+
+
+@pytest.fixture(scope="session")
+def tensors48_64(basis48_64, lift48):
+    # m = 64 lies above galerkin.PACKED_MIN_M: the step reads the pair-packed W
+    return assemble_tensors(basis48_64, lift48, nu=1.0)
+
+
+@pytest.fixture(scope="session")
 def config48():
     return SolverConfig(nu=1.0, T=1.0, dt=1e-3, m=32, epsilon=BUMP_EPS, nx=48)
 

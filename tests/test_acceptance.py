@@ -18,7 +18,6 @@ from reproflow.galerkin import (
     GalerkinState,
     SolverConfig,
     Tensors,
-    assemble_tensors,
     momentum_residual_drop,
     reconstruct,
     solve,
@@ -218,9 +217,8 @@ def test_criterion_7_algebraic_invariants(basis48, tensors48):
     assert eig <= 1e-8
 
 
-def test_criterion_8_m_convergence(square48, cache_dir, lift48, config48):
-    basis = compute_eigenbasis(square48, 64, cache_dir=cache_dir)
-    full = assemble_tensors(basis, lift48, nu=config48.nu)
+def test_criterion_8_m_convergence(basis48_64, tensors48_64, lift48, config48):
+    basis, full = basis48_64, tensors48_64
 
     finals = {}
     for m in (8, 16, 32, 64):

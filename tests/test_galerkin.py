@@ -21,6 +21,7 @@ from reproflow.galerkin import (
     assemble_tensors,
     check_dt_bound,
     explicit_dt_bound,
+    quadratic_term,
     recover_pressure,
     rhs,
     solve,
@@ -49,12 +50,23 @@ def test_advection_tensor_antisymmetry(tensors32):
     assert skew == 0.0
 
 
-def test_flat_b_is_a_view_on_a_cache_line(tensors32, basis32, lift32):
-    # the step's products with the flat B run up to 1.5x slower off a 64-byte
-    # line, so no assembly may leave B where malloc happened to put it
+def test_flat_b_is_a_view_on_a_cache_line(tensors32, basis32, lift32, sliced_tensors,
+                                          tensors48_64):
+    # the step's products with B run up to 1.5x slower off a 64-byte line,
+    # so no layout of B may be left where malloc happened to put it
     for tensors in [tensors32] + [assemble_tensors(basis32, lift32) for _ in range(4)]:
         assert tensors.B_flat.ctypes.data % 64 == 0
         assert np.shares_memory(tensors.B_flat, tensors.B)
+    # a slice of a larger B is copied onto a line
+    t = sliced_tensors
+    for tensors in [t] + [dataclasses.replace(t) for _ in range(4)]:
+        assert tensors.B_flat.ctypes.data % 64 == 0
+        assert not np.shares_memory(tensors.B_flat, tensors.B)
+        assert np.array_equal(tensors.B_flat.reshape(tensors.B.shape), tensors.B)
+    # and the pair-packed W is built on one
+    t = tensors48_64
+    for tensors in [t] + [dataclasses.replace(t) for _ in range(4)]:
+        assert tensors.W.ctypes.data % 64 == 0
 
 
 def test_lift_coupling_antisymmetry(tensors32):
@@ -177,13 +189,45 @@ def sliced_tensors(tensors32):
                    lam=t.lam[:m])
 
 
-@pytest.mark.parametrize("which", ["tensors32", "sliced_tensors"])
+def _random_tensors(m):
+    """Hand-built tensors of m modes, B antisymmetric in (l, j): no basis needed."""
+    rng = np.random.default_rng(m)
+    t = rng.standard_normal((m, m, m))
+    e = rng.standard_normal((m, m))
+    return Tensors(B=0.5 * (t - t.transpose(0, 2, 1)), D=0.1 * rng.standard_normal((m, m)),
+                   E=0.05 * (e - e.T), F=rng.standard_normal(m),
+                   lam=np.sort(rng.uniform(50.0, 500.0, m)))
+
+
+@pytest.fixture(scope="module")
+def random_dense():
+    # the largest m that still reads B_flat
+    return _random_tensors(galerkin.PACKED_MIN_M - 1)
+
+
+@pytest.fixture(scope="module")
+def random_packed():
+    # the smallest m that reads the pair-packed W
+    return _random_tensors(galerkin.PACKED_MIN_M)
+
+
+@pytest.fixture(scope="module")
+def random_packed_58():
+    # m = 58 has 1,711 pairs: without W's padding to a multiple of 8 pairs,
+    # its stack rows do not step bitwise as they would alone
+    assert 58 >= galerkin.PACKED_MIN_M
+    return _random_tensors(58)
+
+
+@pytest.mark.parametrize("which", ["tensors32", "sliced_tensors", "random_dense",
+                                   "random_packed"])
 def test_rhs_matches_einsum_reference(request, which):
     tensors = request.getfixturevalue(which)
     if which == "sliced_tensors":
         assert not tensors.B.flags.c_contiguous
     rng = np.random.default_rng(17)
     m = len(tensors.lam)
+    assert (tensors.W is None) == (m < galerkin.PACKED_MIN_M)
     worst = 0.0
     for _ in range(20):
         c = rng.standard_normal(m)
@@ -229,7 +273,8 @@ def test_zero_lift_is_no_wall_data(zero_lift32, tensors32_nolift, tensors32):
 
 
 @pytest.mark.parametrize("k", [1, 3])
-@pytest.mark.parametrize("which", ["tensors32", "tensors32_nolift", "sliced_tensors"])
+@pytest.mark.parametrize("which", ["tensors32", "tensors32_nolift", "sliced_tensors",
+                                   "random_dense", "random_packed", "random_packed_58"])
 def test_stack_rows_match_single_solves(request, config32, basis32, lift32, zero_lift32,
                                         which, k):
     # each row of a (k, m) stack steps bitwise as the same state alone;
@@ -251,6 +296,19 @@ def test_stack_rows_match_single_solves(request, config32, basis32, lift32, zero
         assert np.array_equal(traj.l2sq[:, row], alone.l2sq)
         assert np.array_equal(rhs(GalerkinState(0.0, stack[row]), tensors, 1.0),
                               rhs(GalerkinState(0.0, stack), tensors, 1.0)[row])
+
+
+def test_layout_depends_on_m_alone(random_dense, random_packed):
+    # a doubled W doubles the quadratic term of a state (m,) and of every row
+    # of a stack (k, m) alike: each reads W, whatever k; below the threshold
+    # neither has a W to read
+    assert random_dense.W is None and random_dense.pairs is None
+    t = random_packed
+    doubled = dataclasses.replace(t)
+    doubled.W[...] *= 2.0
+    stack = np.random.default_rng(29).standard_normal((40, len(t.lam)))
+    for c in (stack[0], stack[:1], stack):
+        assert np.array_equal(quadratic_term(c, doubled), 2.0 * quadratic_term(c, t))
 
 
 def test_dt_bound_monotone_and_enforced(tensors32, config32):
