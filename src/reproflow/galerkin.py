@@ -363,6 +363,7 @@ def quadratic_term(c, tensors):
 
 
 def _nonstiff(c, tensors):
+    # the lift coupling too goes through (1, m) rows: bitwise per stack row
     return (-quadratic_term(c, tensors) - c[..., None, :] @ tensors.DE
             + tensors.F)[..., 0, :]
 

@@ -169,10 +169,9 @@ def check_tensors(tensors, basis, lift):
     divided by the larger of the field value and the coefficient form
     taken in absolute values (|c|^T |M| |d|, for B from B_flat), so a draw
     whose term happens to be near 0 cannot fail and a zeroed tensor reads
-    1; two exact zeros
-    (D, E and F of the zero lift) read 0.  B drops out of the energy
-    balance by skew symmetry, so the energy monitor cannot see a defect
-    there; this audit does.
+    1; two exact zeros (D, E and F of the zero lift) read 0.  B drops out
+    of the energy balance by skew symmetry, so the energy monitor cannot
+    see a defect there; this audit does.
     """
     m = len(tensors.lam)
     rng = np.random.default_rng(0)
