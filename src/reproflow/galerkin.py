@@ -150,8 +150,8 @@ def _pack_pairs(b):
         w[start] = b[i, i]
         np.add(b[i, i + 1:], b[i + 1:, i], out=w[start + 1:start + m - i])
         start += m - i
-    pad = np.zeros(n - len(ia), dtype=ia.dtype)
-    return w, (np.concatenate([ia, pad]), np.concatenate([il, pad]))
+    pad = (0, n - len(ia))
+    return w, (np.pad(ia, pad), np.pad(il, pad))
 
 
 @dataclasses.dataclass(frozen=True)
