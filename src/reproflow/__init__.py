@@ -6,4 +6,4 @@ a priori energy/stability estimates at run time, and finds reproductive
 (v(T) = v(0)) flows by Picard iteration on the period map.
 """
 
-__version__ = "0.3.7"
+__version__ = "0.3.8"

@@ -236,11 +236,13 @@ def parse_config(path, out_override=None, seed_override=None):
             f"initial.kind: expected zero or ball, got {out['initial']['kind']!r}")
     # each of these would otherwise crash a run or let a gate pass on nothing
     rp, sw, pert = out["reproductive"], out["sweep"], out["stability"]["perturbation"]
+    radius = out["verify"]["m_radius"]
     eps_ok = len(sw["epsilons"]) > 0 and all(
         type(e) in (int, float) and 0.0 < e <= 1.0 for e in sw["epsilons"])
     ranges = [("reproductive.tol", rp["tol"], rp["tol"] > 0, "a positive number"),
               ("reproductive.pairs", rp["pairs"], rp["pairs"] >= 1, "at least 1"),
               ("stability.perturbation", pert, pert > 0, "a positive number"),
+              ("verify.m_radius", radius, radius > 0, "a positive number"),
               ("sweep.epsilons", sw["epsilons"], eps_ok,
                "a non-empty list of numbers in (0, 1]"),
               ("sweep.samples", sw["samples"], sw["samples"] >= 1, "at least 1")]
@@ -375,6 +377,9 @@ def _run_eigs(ctx):
 def _run_lift(ctx):
     sweep = ctx.config.raw["sweep"]
     boundary = ctx.boundary()
+    # the snapshot is the run's own lift, whether or not the sweep visits its epsilon
+    own = build_lift(boundary, ctx.config.solver.epsilon, ctx.grid)
+    save_vector(ctx.path("lift_G.npz"), own.G_eps)
     rows = []
     betas, ratios = [], []
     for eps in sweep["epsilons"]:
@@ -385,8 +390,6 @@ def _run_lift(ctx):
         rows.append((eps, lift.delta, lift.beta, ratio, div_max))
         betas.append(lift.beta)
         ratios.append(ratio)
-        if eps == ctx.config.solver.epsilon:
-            save_vector(ctx.path("lift_G.npz"), lift.G_eps)
     write_csv(ctx.path("beta_vs_eps.csv"),
               ["epsilon", "delta", "beta", "smallness_ratio", "div_max"], rows)
     strict = all(b1 > b2 for b1, b2 in zip(betas, betas[1:]))

@@ -30,6 +30,10 @@ class ConfigError(ValueError):
     """Invalid solver configuration; message names the offending fields."""
 
 
+# the trust region of the coefficients: a step that leaves it raises BlowupDetected
+BLOWUP_BOUND = 1e6
+
+
 class BlowupDetected(RuntimeError):
     def __init__(self, step_index, max_coeff, row=None):
         self.step_index = step_index
@@ -39,8 +43,8 @@ class BlowupDetected(RuntimeError):
 
     def __str__(self):
         where = "" if self.row is None else f" in stack row {self.row}"
-        return (f"coefficients exceeded 1e6 at step {self.step_index}{where} "
-                f"(max {self.max_coeff:.3e})")
+        return (f"coefficients exceeded {BLOWUP_BOUND:.0e} at step "
+                f"{self.step_index}{where} (max {self.max_coeff:.3e})")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -106,25 +110,11 @@ def check_dt_bound(config, tensors, c0):
 # tensors
 
 
-# From this many modes on, the quadratic term reads the pair-packed W rather
-# than B_flat: the smallest m measured at which W wins for one state and for
-# a 40-row stack alike.  `_nonstiff` per call in us, B_flat -> W, medians of
-# 11 interleaved rounds on one BLAS thread of a 2-vCPU Xeon (2 MiB L2):
-#   m = 40: 13.4 -> 16.0 (k = 1),  281 -> 218 (k = 40)
-#   m = 48: 18.4 -> 19.8,          518 -> 384
-#   m = 52: 23.9 -> 26.0,          666 -> 522
-#   m = 56: 33.9 -> 28.8,          989 -> 586
-#   m = 64: 73.8 -> 38.2,         2620 -> 933
-# Below it a state pays more for gathering its pair products than it saves
-# in bytes of B.  The choice never depends on the stack size k.
-PACKED_MIN_M = 56
-
-
 def _aligned_empty(shape):
     """An uninitialised float64 array that starts on a 64-byte cache line.
 
-    The step's products with B run up to 1.5x slower off a line, and
-    where malloc puts an array varies by process.
+    The step's products run up to 1.5x slower off a line, and where
+    malloc puts an array varies by process.
     """
     n = int(np.prod(shape))
     store = np.empty(n + 8)
@@ -164,23 +154,15 @@ class Tensors:
     the forcing projection.  The lift is one steady field G, so D, E
     and F are one (m, m), (m, m) and (m,) array each.
 
-    The step loop reads arrays built once here: DE = D + E, and one of
-    two layouts of B for the quadratic term sum_{i,l} B[i, l, j] c_i c_l
-    (`quadratic_term`), chosen from m alone:
-
-    * below PACKED_MIN_M modes, B_flat: B as a C-contiguous (m, m*m)
-      matrix, so that the term is two matrix-vector products;
-    * from PACKED_MIN_M on, W: only the part of B symmetric in (i, l)
-      enters the term, so row p of W, for the pair i = ia[p] <= l = il[p]
-      of `pairs = (ia, il)`, holds B[i, l, :] + B[l, i, :], or B[i, i, :]
-      on the diagonal.  The term is one product of the pair products
-      c_i c_l with W, which has half the bytes of B: at m = 64, B (2.1 MB)
-      no longer fits in a 2 MiB L2 beside the step's other data, and W
-      (1.06 MB) does.  Below the threshold W and `pairs` are None.
-
-    B_flat and W start on a 64-byte cache line.  B_flat is a view of B
-    when B is C-contiguous and on a line, and a copy otherwise, such as
-    for a slice of a larger tensor.
+    The step loop reads arrays built once here: DE = D + E, and the
+    pair-packed W for the quadratic term sum_{i,l} B[i, l, j] c_i c_l
+    (`quadratic_term`).  Only the part of B symmetric in (i, l) enters
+    the term, so row p of W, for the pair i = ia[p] <= l = il[p] of
+    `pairs = (ia, il)`, holds B[i, l, :] + B[l, i, :], or B[i, i, :] on
+    the diagonal.  The term is one product of the pair products c_i c_l
+    with W, which has half the bytes of B and starts on a 64-byte cache
+    line.  The step does not read B itself, so B may be any view, such
+    as a slice of a larger tensor.
     """
 
     B: np.ndarray
@@ -189,19 +171,12 @@ class Tensors:
     F: np.ndarray
     lam: np.ndarray
     DE: np.ndarray = dataclasses.field(init=False, repr=False)
-    B_flat: np.ndarray = dataclasses.field(init=False, repr=False)
     W: np.ndarray = dataclasses.field(init=False, repr=False)
     pairs: tuple = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self):
-        m = self.B.shape[0]
-        b = self.B
-        if not b.flags.c_contiguous or b.ctypes.data % 64:
-            b = _aligned_empty(b.shape)
-            b[...] = self.B
-        w, pairs = _pack_pairs(b) if m >= PACKED_MIN_M else (None, None)
+        w, pairs = _pack_pairs(self.B)
         object.__setattr__(self, "DE", self.D + self.E)
-        object.__setattr__(self, "B_flat", b.reshape(m, m * m))
         object.__setattr__(self, "W", w)
         object.__setattr__(self, "pairs", pairs)
 
@@ -321,8 +296,7 @@ def _sweep(basis, lift, nu):
             advect_into(bu[:k], bv[:k], transport_stencils(gu, gv, g), grads, g)
             half[blk] = w2 * (buf[:k] @ flat.T)
     mode_order = np.argsort(order)
-    b = _aligned_empty((m, m, m))
-    np.subtract(t1, t1.transpose(0, 2, 1), out=b)
+    b = t1 - t1.transpose(0, 2, 1)
     b *= 0.5
     pair = np.ix_(mode_order, mode_order)
     return (b, 0.5 * (s - r)[pair], 0.5 * (half - half.T)[pair],
@@ -350,16 +324,13 @@ def vnorm(c, lam):
 def quadratic_term(c, tensors):
     """sum_{i,l} B[i, l, :] c_i c_l for a state (m,) or each row of a stack (k, m).
 
-    Returned with shape (..., 1, m).  Reads B in the layout `Tensors`
-    chose from m (B_flat or the pair-packed W), whatever the shape of c;
-    each stack row goes through its own (1, .) products, so it is
-    bitwise the same as that state alone.
+    Returned with shape (..., 1, m).  Reads the pair-packed W of
+    `Tensors`; each stack row goes through its own (1, .) product, so it
+    is bitwise the same as that state alone.  `take` gathers the pair
+    products at half the cost of indexing through `...`.
     """
-    if tensors.W is None:
-        r = c[..., None, :]
-        return r @ (r @ tensors.B_flat).reshape(c.shape + c.shape[-1:])
     ia, il = tensors.pairs
-    return (c[..., ia] * c[..., il])[..., None, :] @ tensors.W
+    return (c.take(ia, axis=-1) * c.take(il, axis=-1))[..., None, :] @ tensors.W
 
 
 def _nonstiff(c, tensors):
@@ -390,8 +361,8 @@ def step(state, tensors, config, _efactor=None):
     c_new = e1 * (c + (0.5 * dt) * k1) + (0.5 * dt) * k2
 
     peak = np.abs(c_new).max()
-    if not peak <= 1e6:  # also true for NaN
-        row = int(np.argmin(np.abs(np.atleast_2d(c_new)).max(axis=1) <= 1e6))
+    if not peak <= BLOWUP_BOUND:  # also true for NaN
+        row = int(np.argmin(np.abs(np.atleast_2d(c_new)).max(axis=1) <= BLOWUP_BOUND))
         raise BlowupDetected(-1, peak if np.isfinite(peak) else np.inf,
                              row if c_new.ndim == 2 else None)
     return GalerkinState(state.t + dt, c_new)

@@ -159,7 +159,8 @@ class ContractionReport:
     envelope: float
 
     def passed(self, tol_contr=0.1):
-        return self.max_ratio <= self.envelope * (1.0 + tol_contr)
+        # no ratio (every pair degenerate) measures nothing, so it cannot pass
+        return bool(self.ratios) and self.max_ratio <= self.envelope * (1.0 + tol_contr)
 
 
 def measure_contraction(config, lift, basis, pairs=5, seed=0, *, budget,

@@ -164,10 +164,9 @@ def check_tensors(tensors, basis, lift):
         c . F                        vs  (u_c, f)
 
     The B form is `galerkin.quadratic_term`, the step kernel's own, so B
-    is read in the layout the step uses at this m: B_flat, or the
-    pair-packed W from `PACKED_MIN_M` modes on.  Each deviation is
+    is read through the pair-packed W the step uses.  Each deviation is
     divided by the larger of the field value and the coefficient form
-    taken in absolute values (|c|^T |M| |d|, for B from B_flat), so a draw
+    taken in absolute values (|c|^T |M| |d|, for B from B itself), so a draw
     whose term happens to be near 0 cannot fail and a zeroed tensor reads
     1; two exact zeros (D, E and F of the zero lift) read 0.  B drops out
     of the energy balance by skew symmetry, so the energy monitor cannot
@@ -183,7 +182,8 @@ def check_tensors(tensors, basis, lift):
         ("lam", (c * tensors.lam) @ c, (ac * np.abs(tensors.lam)) @ ac,
          inner_l2(apply_stokes(uc), uc)),
         ("B", quadratic_term(c, tensors)[0] @ d,
-         ac @ (ac @ np.abs(tensors.B_flat)).reshape(m, m) @ ad, trilinear(uc, uc, ud)),
+         ac @ (ac @ np.abs(tensors.B).reshape(m, m * m)).reshape(m, m) @ ad,
+         trilinear(uc, uc, ud)),
         ("D", c @ tensors.D @ d, ac @ np.abs(tensors.D) @ ad, trilinear(uc, g, ud)),
         ("E", c @ tensors.E @ d, ac @ np.abs(tensors.E) @ ad, trilinear(g, uc, ud)),
         ("F", c @ tensors.F, ac @ np.abs(tensors.F), inner_l2(uc, lift.f_eps)),

@@ -82,7 +82,6 @@ def basis48_64(square48, cache_dir):
 
 @pytest.fixture(scope="session")
 def tensors48_64(basis48_64, lift48):
-    # m = 64 lies above galerkin.PACKED_MIN_M: the step reads the pair-packed W
     return assemble_tensors(basis48_64, lift48, nu=1.0)
 
 

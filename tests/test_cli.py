@@ -16,8 +16,9 @@ from reproflow import __version__, cli
 from reproflow.cli import main, parse_config, ConfigFileError
 from reproflow.fields import Grid
 from reproflow.galerkin import BlowupDetected
-from reproflow.lift import SolverFailure
+from reproflow.lift import SolverFailure, boundary_profile, build_lift
 from reproflow.reproductive import NonConvergence
+from reproflow.snapshots import load
 from reproflow.stokes import EigensolverError, compute_eigenbasis
 
 # a tent of wall speed on the bottom wall, clear of the corners
@@ -76,13 +77,15 @@ def test_null_rejected_where_default_is_set(tmp_path, capsys, dotted):
     ("reproductive.tol", 0.0), ("reproductive.tol", -1.0), ("reproductive.pairs", 0),
     ("sweep.epsilons", []), ("sweep.epsilons", [0.4, 1.5]), ("sweep.epsilons", ["a"]),
     ("sweep.samples", 0), ("stability.perturbation", 0.0),
+    ("verify.m_radius", 0.0),
     ("verify", 3), ("solver.m", "six"), ("initial.kind", "box")],
     ids=["tol=0", "tol<0", "pairs=0", "epsilons=[]", "epsilon>1", "epsilon=str",
-         "samples=0", "perturbation=0", "section=number", "m=str", "kind=box"])
+         "samples=0", "perturbation=0", "m_radius=0", "section=number", "m=str",
+         "kind=box"])
 def test_out_of_range_values_rejected(tmp_path, capsys, dotted, value):
     # tol <= 0 and a bad epsilon used to end in a traceback; zero pairs,
-    # no epsilons, no samples or a zero perturbation passed a gate with
-    # nothing measured
+    # no epsilons, no samples, a zero perturbation or a zero ball radius
+    # (every contraction pair degenerate) passed a gate with nothing measured
     section, _, key = dotted.partition(".")
     exp = {"sweep": "lift", "stability": "stability"}.get(section, "reproductive")
     path = write_config(tmp_path, experiment=exp, **{section: {key: value} if key else value})
@@ -418,6 +421,21 @@ def test_lift_sweep_run(tmp_path, capsys):
     assert rows[0] == "epsilon,delta,beta,smallness_ratio,div_max"
     assert len(rows) == 5
     assert os.path.exists(os.path.join(out, "lift_G.npz"))
+
+
+def test_lift_snapshot_is_the_runs_own_epsilon(tmp_path, capsys):
+    # the sweep does not visit solver.epsilon: the snapshot is still written
+    out = str(tmp_path / "lift_out")
+    path = write_config(tmp_path, experiment="lift", out=out,
+                        solver={"epsilon": 0.3}, sweep={"epsilons": [0.4, 0.2]})
+    rc = main(["lift", "--config", path])
+    capsys.readouterr()
+    assert rc == 0
+    assert "lift_G.npz" in read_manifest(out)["outputs"]
+    g, _ = load(os.path.join(out, "lift_G.npz"))
+    grid = Grid("square", 24)
+    want = build_lift(boundary_profile(grid, "bottom_bump", amplitude=0.01), 0.3, grid).G_eps
+    assert np.array_equal(g.u, want.u) and np.array_equal(g.v, want.v)
 
 
 def test_verify_run_passes(tmp_path, capsys):

@@ -50,22 +50,14 @@ def test_advection_tensor_antisymmetry(tensors32):
     assert skew == 0.0
 
 
-def test_flat_b_is_a_view_on_a_cache_line(tensors32, basis32, lift32, sliced_tensors,
-                                          tensors48_64):
-    # the step's products with B run up to 1.5x slower off a 64-byte line,
-    # so no layout of B may be left where malloc happened to put it
-    for tensors in [tensors32] + [assemble_tensors(basis32, lift32) for _ in range(4)]:
-        assert tensors.B_flat.ctypes.data % 64 == 0
-        assert np.shares_memory(tensors.B_flat, tensors.B)
-    # a slice of a larger B is copied onto a line
-    t = sliced_tensors
-    for tensors in [t] + [dataclasses.replace(t) for _ in range(4)]:
-        assert tensors.B_flat.ctypes.data % 64 == 0
-        assert not np.shares_memory(tensors.B_flat, tensors.B)
-        assert np.array_equal(tensors.B_flat.reshape(tensors.B.shape), tensors.B)
-    # and the pair-packed W is built on one
-    t = tensors48_64
-    for tensors in [t] + [dataclasses.replace(t) for _ in range(4)]:
+def test_w_starts_on_a_cache_line(tensors32, basis32, lift32, sliced_tensors,
+                                  tensors48_64, random_packed_7, random_packed_58):
+    # the step's products run up to 1.5x slower off a 64-byte line, so W
+    # may not be left where malloc happened to put it
+    builds = [tensors32] + [assemble_tensors(basis32, lift32) for _ in range(4)]
+    for t in (sliced_tensors, tensors48_64, random_packed_7, random_packed_58):
+        builds += [t] + [dataclasses.replace(t) for _ in range(4)]
+    for tensors in builds:
         assert tensors.W.ctypes.data % 64 == 0
 
 
@@ -200,34 +192,36 @@ def _random_tensors(m):
 
 
 @pytest.fixture(scope="module")
-def random_dense():
-    # the largest m that still reads B_flat
-    return _random_tensors(galerkin.PACKED_MIN_M - 1)
+def random_packed_7():
+    # 28 pairs, padded to 32
+    return _random_tensors(7)
 
 
 @pytest.fixture(scope="module")
-def random_packed():
-    # the smallest m that reads the pair-packed W
-    return _random_tensors(galerkin.PACKED_MIN_M)
+def random_packed_40():
+    return _random_tensors(40)
+
+
+@pytest.fixture(scope="module")
+def random_packed_56():
+    return _random_tensors(56)
 
 
 @pytest.fixture(scope="module")
 def random_packed_58():
     # m = 58 has 1,711 pairs: without W's padding to a multiple of 8 pairs,
     # its stack rows do not step bitwise as they would alone
-    assert 58 >= galerkin.PACKED_MIN_M
     return _random_tensors(58)
 
 
-@pytest.mark.parametrize("which", ["tensors32", "sliced_tensors", "random_dense",
-                                   "random_packed"])
+@pytest.mark.parametrize("which", ["tensors32", "sliced_tensors", "random_packed_7",
+                                   "random_packed_40", "random_packed_56"])
 def test_rhs_matches_einsum_reference(request, which):
     tensors = request.getfixturevalue(which)
     if which == "sliced_tensors":
         assert not tensors.B.flags.c_contiguous
     rng = np.random.default_rng(17)
     m = len(tensors.lam)
-    assert (tensors.W is None) == (m < galerkin.PACKED_MIN_M)
     worst = 0.0
     for _ in range(20):
         c = rng.standard_normal(m)
@@ -274,13 +268,15 @@ def test_zero_lift_is_no_wall_data(zero_lift32, tensors32_nolift, tensors32):
 
 @pytest.mark.parametrize("k", [1, 3])
 @pytest.mark.parametrize("which", ["tensors32", "tensors32_nolift", "sliced_tensors",
-                                   "random_dense", "random_packed", "random_packed_58"])
+                                   "random_packed_7", "random_packed_40", "random_packed_56",
+                                   "random_packed_58", "tensors48", "tensors48_64"])
 def test_stack_rows_match_single_solves(request, config32, basis32, lift32, zero_lift32,
-                                        which, k):
+                                        lift48, which, k):
     # each row of a (k, m) stack steps bitwise as the same state alone;
     # k = 1 is given as a (1, m) stack, not as an (m,) state
     tensors = request.getfixturevalue(which)
-    lift = zero_lift32 if which == "tensors32_nolift" else lift32
+    lift = {"tensors32_nolift": zero_lift32, "tensors48": lift48,
+            "tensors48_64": lift48}.get(which, lift32)
     m = len(tensors.lam)
     cfg = dataclasses.replace(config32, m=m)
     rng = np.random.default_rng(23)
@@ -298,17 +294,15 @@ def test_stack_rows_match_single_solves(request, config32, basis32, lift32, zero
                               rhs(GalerkinState(0.0, stack), tensors, 1.0)[row])
 
 
-def test_layout_depends_on_m_alone(random_dense, random_packed):
+def test_quadratic_term_reads_w(random_packed_7, random_packed_56):
     # a doubled W doubles the quadratic term of a state (m,) and of every row
-    # of a stack (k, m) alike: each reads W, whatever k; below the threshold
-    # neither has a W to read
-    assert random_dense.W is None and random_dense.pairs is None
-    t = random_packed
-    doubled = dataclasses.replace(t)
-    doubled.W[...] *= 2.0
-    stack = np.random.default_rng(29).standard_normal((40, len(t.lam)))
-    for c in (stack[0], stack[:1], stack):
-        assert np.array_equal(quadratic_term(c, doubled), 2.0 * quadratic_term(c, t))
+    # of a stack (k, m) alike: each reads W, whatever m and k
+    for t in (random_packed_7, random_packed_56):
+        doubled = dataclasses.replace(t)
+        doubled.W[...] *= 2.0
+        stack = np.random.default_rng(29).standard_normal((40, len(t.lam)))
+        for c in (stack[0], stack[:1], stack):
+            assert np.array_equal(quadratic_term(c, doubled), 2.0 * quadratic_term(c, t))
 
 
 def test_dt_bound_monotone_and_enforced(tensors32, config32):

@@ -192,9 +192,8 @@ def test_nonconvergence_reports_partial_residuals(config32, lift32, basis32,
     assert info.value.residuals[0] > 1e-30
 
 
-def test_contraction_skips_degenerate_draws(monkeypatch, config32, lift32, basis32,
-                                            tensors32):
-    # pair 0 draws the same start twice: its ratio would be 0/0, so it is left out
+def _repeat_first_start(monkeypatch):
+    """Make pair 0 of a contraction sample draw the same start twice."""
     default_rng = np.random.default_rng
 
     def repeat_first_start(seed):
@@ -211,9 +210,27 @@ def test_contraction_skips_degenerate_draws(monkeypatch, config32, lift32, basis
         return Draws()
 
     monkeypatch.setattr(np.random, "default_rng", repeat_first_start)
+
+
+def test_contraction_skips_degenerate_draws(monkeypatch, config32, lift32, basis32,
+                                            tensors32):
+    # pair 0 draws the same start twice: its ratio would be 0/0, so it is left out
+    _repeat_first_start(monkeypatch)
     budget = validate_budget(lift32.boundary, lift32, nu=1.0)
     report = measure_contraction(config32, lift32, basis32, pairs=3, seed=7,
                                  budget=budget, tensors=tensors32)
     assert len(report.ratios) == 2
     assert all(np.isfinite(r) and r > 0.0 for r in report.ratios)
     assert report.max_ratio == max(report.ratios)
+    assert report.passed(0.1)
+
+
+def test_contraction_of_degenerate_draws_only_fails(monkeypatch, config32, lift32,
+                                                    basis32, tensors32):
+    # with its one pair degenerate the sample measured nothing: no pass on 0.0
+    _repeat_first_start(monkeypatch)
+    budget = validate_budget(lift32.boundary, lift32, nu=1.0)
+    report = measure_contraction(config32, lift32, basis32, pairs=1, seed=7,
+                                 budget=budget, tensors=tensors32)
+    assert report.ratios == [] and report.max_ratio == 0.0
+    assert not report.passed(0.1)
