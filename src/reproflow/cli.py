@@ -108,7 +108,8 @@ SCHEMA = {
         "radius": (0.05, float),
     },
     "verify": {
-        # slack rate calibrated on the standard fixture (tools/calibrate_regime.py)
+        # slack rate of the standard fixture, recomputed and pinned by
+        # tests/test_verification.py::test_kappa_default_is_the_calibrated_rate
         "kappa": (3.00531870e-3, float),
         # the smallness ball B_M of verify, stability and reproductive
         "m_radius": (DEFAULT_BUDGET_FIXTURE["m_radius"], float),

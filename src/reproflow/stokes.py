@@ -18,7 +18,7 @@ Laplacian of the interior nodes and W = (2/h^4) sum_walls P_w^T P_w, P_w
 the restriction to the node line next to wall w.  Its smallest eigenvalue
 on the unit square is 52.344691168 (Bjorstad & Tjostheim, Computing 63,
 1999); the discrete lambda_1 converges to it at O(h^2)
-(tools/oracle_square_lambda1.py).
+(acceptance criterion 1).
 
 The pencil is solved in the sine basis y^ = S y S (`fields.dirichlet_sine`),
 where L_D is the diagonal Lambda[k, l] = mu_k + mu_l and the last line's

@@ -11,6 +11,7 @@ import sys
 import time
 
 import numpy as np
+import pytest
 import yaml
 
 from reproflow.fields import Grid, advect, divergence, inner_l2, norm_l2
@@ -49,11 +50,14 @@ def _ball(rng, lam, radius):
 
 def test_criterion_1_square_stokes_oracle(basis48, zero_lift48, cache_dir):
     t0 = time.monotonic()
-    lam24 = compute_eigenbasis(Grid("square", 24), 1, cache_dir=cache_dir).eigenvalues[0]
-    lam48 = basis48.eigenvalues[0]
-    ratio = (lam24 - LAMBDA1) / (lam48 - LAMBDA1)
-    richardson = lam48 + (lam48 - lam24) / 3.0
-    rich_err = abs(richardson - LAMBDA1) / LAMBDA1
+    lam = {nx: compute_eigenbasis(Grid("square", nx), 1, cache_dir=cache_dir).eigenvalues[0]
+           for nx in (24, 96)}
+    lam[48] = basis48.eigenvalues[0]
+    legs = {}
+    for coarse, fine in ((24, 48), (48, 96)):
+        ratio = (lam[coarse] - LAMBDA1) / (lam[fine] - LAMBDA1)
+        richardson = lam[fine] + (lam[fine] - lam[coarse]) / 3.0
+        legs[fine] = ratio, abs(richardson - LAMBDA1) / LAMBDA1
 
     # a run without wall data: what the momentum balance leaves is a discrete gradient
     config = SolverConfig(nu=0.1, T=0.1, dt=1e-3, m=32, nx=48)
@@ -63,12 +67,15 @@ def test_criterion_1_square_stokes_oracle(basis48, zero_lift48, cache_dir):
     drop = momentum_residual_drop(pair, basis48, zero_lift48, config.nu)
 
     elapsed = time.monotonic() - t0
-    print(f"criterion 1: lambda_1 {lam24:.8f} (nx 24), {lam48:.8f} (nx 48), "
-          f"error ratio {ratio:.3f} (4 +- 0.2), Richardson {richardson:.9f} "
-          f"rel err {rich_err:.2e} (tol 5e-5), "
-          f"momentum residual drop {drop:.1f}x (min 100), {elapsed:.1f}s")
-    assert 3.8 <= ratio <= 4.2
-    assert rich_err <= 5e-5
+    print(f"criterion 1: lambda_1 {lam[24]:.8f} (nx 24), {lam[48]:.8f} (nx 48), "
+          f"{lam[96]:.8f} (nx 96); 24/48 error ratio {legs[48][0]:.3f} (4 +- 0.2), "
+          f"Richardson rel err {legs[48][1]:.2e} (tol 5e-5); 48/96 error ratio "
+          f"{legs[96][0]:.3f} (4 +- 0.02), Richardson rel err {legs[96][1]:.2e} "
+          f"(tol 2e-6); momentum residual drop {drop:.1f}x (min 100), {elapsed:.1f}s")
+    assert 3.8 <= legs[48][0] <= 4.2
+    assert legs[48][1] <= 5e-5
+    assert 3.98 <= legs[96][0] <= 4.02
+    assert legs[96][1] <= 2e-6
     assert drop >= 100.0
     assert elapsed < 60.0
 
@@ -104,6 +111,8 @@ def test_criterion_3_reproductive_fixed_point(config48, lift48, basis48,
 
     print(f"criterion 3: residuals {[f'{x:.3e}' for x in r]}, "
           f"cap {cap}, closure {closure:.3e}")
+    # from a zero start the first residual is ||L(0)||_V, the attractor scale
+    assert r[0] == pytest.approx(1.40406758e-2, rel=1e-8)
     assert report.converged
     assert report.n_iterations <= cap
     assert all(rho <= per_step for rho in report.ratios)

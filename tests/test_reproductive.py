@@ -15,6 +15,7 @@ from reproflow.galerkin import (
     vnorm,
 )
 from reproflow.reproductive import (
+    DEFAULT_BUDGET_FIXTURE,
     BallExit,
     NonConvergence,
     SmallnessBudget,
@@ -25,7 +26,7 @@ from reproflow.reproductive import (
     validate_budget,
 )
 from reproflow.stokes import compute_eigenbasis
-from reproflow.verification import RegimeViolation
+from reproflow.verification import RegimeViolation, check_h1_bound
 
 from .conftest import BUMP_AMP
 
@@ -44,6 +45,23 @@ def test_budget_measurements_and_satisfaction(bump48, lift48):
     assert budget.g_norm == pytest.approx(3.50480501e-2, rel=1e-6)
     assert budget.f_norm == pytest.approx(9.69904179e-1, rel=1e-6)
     assert budget.beta == pytest.approx(1.61254578e-3, rel=1e-6)
+
+
+def test_default_budget_fixture_holds_at_the_standard_fixture(config48, bump48, lift48,
+                                                              basis48, tensors48):
+    # three rng(11) starts of V-norm 0.05, as one stack, stay in the ball M
+    lam = basis48.eigenvalues
+    draws = np.random.default_rng(11).standard_normal((3, lam.size))
+    draws *= 0.05 / vnorm(draws, lam)[:, None]
+    traj = solve(config48, GalerkinState(0.0, draws), lift48, basis48, tensors=tensors48)
+    ball = check_h1_bound(traj, DEFAULT_BUDGET_FIXTURE["m_radius"])
+    # alpha and K over the measured norms that test_budget_measurements_and_satisfaction pins
+    budget = validate_budget(bump48, lift48, nu=1.0)
+    headroom = (budget.alpha / budget.g_norm, budget.k_force / budget.f_norm)
+    print(f"sup V-norm after t = 0: {ball.lhs[1:].max():.4e}; "
+          f"alpha and K headroom {headroom[0]:.3f}x, {headroom[1]:.3f}x")
+    assert ball.passed and ball.regime["initial_in_ball"], ball.lines()
+    assert all(1.4 <= h <= 1.6 for h in headroom)
 
 
 def test_budget_rejects_loud_data(square48):
@@ -75,7 +93,8 @@ def test_map_l_matches_linear_decay(basis32, zero_lift32):
 
 
 def test_map_l_fixes_zero(config32, basis32, zero_lift32):
-    out = map_L(GalerkinState(0.0, np.zeros(8)), config32, zero_lift32, basis32)
+    out = map_L(GalerkinState(0.0, np.zeros(8)), config32, zero_lift32, basis32,
+                tensors=assemble_tensors(basis32, zero_lift32))
     assert np.all(out.c == 0.0)
 
 
@@ -140,6 +159,14 @@ def test_contraction_regime_gate(config32, lift32, basis32, tensors32):
     with pytest.raises(RegimeViolation):
         measure_contraction(config32, lift32, basis32, pairs=1, seed=0,
                             budget=bad, tensors=tensors32)
+
+
+def test_contraction_refuses_an_unmeasured_budget(config32, lift32, basis32, tensors32):
+    unmeasured = SmallnessBudget(0.05, 1.5, 0.05)
+    assert "not measured" in unmeasured.lines()[0]
+    with pytest.raises(RegimeViolation, match="not measured"):
+        measure_contraction(config32, lift32, basis32, budget=unmeasured,
+                            tensors=tensors32)
 
 
 def test_find_reproductive_converges(config32, lift32, basis32, tensors32):

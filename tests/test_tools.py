@@ -1,18 +1,20 @@
 """The scripts under tools/ and the benchmark under bench/ still fit the library.
 
-The scripts are not run (some take minutes); each is parsed, every name
-it imports from reproflow must resolve, and every call of an imported
-function must bind to its signature.  The benchmark
+The scripts are not run: each is parsed, every name it imports from
+reproflow must resolve, and every call of an imported function must bind
+to its signature.  The benchmark
 is read the same way: the names `bench/workload.py` reaches through
 ``from reproflow import (...)`` and the (module, attribute) pairs the
 tracer in `bench/spans.py` patches must exist, so that a library rename
-breaks this suite and not only the benchmark.
+breaks this suite and not only the benchmark.  Every script that the
+library, the tests or the READMEs name must exist.
 """
 
 import ast
 import importlib
 import inspect
 import pathlib
+import re
 import types
 
 import pytest
@@ -113,3 +115,13 @@ def test_bench_uses_existing_library_names():
     for module, attr, _ in targets:
         assert hasattr(importlib.import_module(module), attr), (
             f"spans.TARGETS: {module} has no {attr}")
+
+
+def test_named_tool_scripts_exist():
+    texts = [*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").rglob("*.py"),
+             ROOT / "README.md", BENCH / "README.md"]
+    named = {(path.relative_to(ROOT), name) for path in texts
+             for name in re.findall(r"\btools/(\w+\.py)\b", path.read_text())}
+    missing = sorted(f"{path} names tools/{name}" for path, name in named
+                     if not (ROOT / "tools" / name).is_file())
+    assert not missing, missing

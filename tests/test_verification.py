@@ -89,6 +89,21 @@ def test_h1_ball_monitor(bump_traj):
     assert tight.regime["sup_vnorm"] > 1e-9
 
 
+def test_h1_ball_monitor_on_a_stack(config32, lift32, basis32, tensors32):
+    # row 0 starts at rest, row 1 at V-norm 0.02; each row is judged
+    c = np.zeros((2, 8))
+    c[1] = np.random.default_rng(4).standard_normal(8)
+    c[1] *= 0.02 / vnorm(c[1], basis32.eigenvalues)
+    traj = solve(config32, GalerkinState(0.0, c), lift32, basis32, tensors=tensors32)
+    ok = check_h1_bound(traj, m_radius=0.05)
+    assert ok.passed and ok.regime["initial_in_ball"]
+
+    tight = check_h1_bound(traj, m_radius=0.01)
+    assert not tight.passed
+    assert not tight.regime["initial_in_ball"]  # row 1 starts outside
+    assert tight.regime["sup_vnorm"] == pytest.approx(0.02, rel=1e-12)
+
+
 def test_calibrate_slack_nonnegative(config32, lift32, basis32, tensors32):
     kappa = calibrate_slack(config32, GalerkinState(0.0, np.zeros(8)),
                             lift32, basis32, tensors32)
@@ -99,8 +114,9 @@ def test_calibrate_slack_nonnegative(config32, lift32, basis32, tensors32):
 
 
 def test_kappa_default_is_the_calibrated_rate(basis48, lift48, tensors48):
-    # the calibration of tools/calibrate_regime.py: the standard fixture,
-    # T = 0.5, from the last of three rng(11) draws at V-norm 0.05
+    # the calibration of verify.kappa: the standard fixture, T = 0.5, from
+    # the last of the three rng(11) draws at V-norm 0.05 whose ball the
+    # budget fixture test in test_reproductive.py checks
     draws = np.random.default_rng(11).standard_normal((3, 32))
     draws *= 0.05 / vnorm(draws, basis48.eigenvalues)[:, None]
     cfg = SolverConfig(nu=1.0, T=0.5, dt=1e-3, m=32, nx=48)
