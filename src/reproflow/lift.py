@@ -30,6 +30,8 @@ WALLS = ("bottom", "right", "top", "left")
 
 #: nodes closer than this many h to a corner must carry zero data
 CORNER_MARGIN_CELLS = 4
+#: gate of the lift run on max |div G|, which the construction makes rounding
+DIVERGENCE_TOL = 1e-13
 
 
 class InvalidBoundaryData(ValueError):

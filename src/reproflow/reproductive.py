@@ -23,7 +23,7 @@ import numpy as np
 from .galerkin import GalerkinState, solve, vnorm
 from .lift import compute_forcing
 from .fields import inner_l2
-from .verification import RegimeViolation, check_h1_bound
+from .verification import Gate, RegimeViolation, check_h1_bound
 
 
 class NonConvergence(RuntimeError):
@@ -48,6 +48,8 @@ DEFAULT_BUDGET_FIXTURE = {
     "k_force": 1.5,
     "m_radius": 0.05,
 }
+
+CONTRACTION_TOL = 0.1  # share by which a contraction ratio may exceed exp(-nu T)
 
 
 @dataclasses.dataclass
@@ -90,8 +92,16 @@ class FixedPointReport:
     residuals: list
     converged: bool
     state: GalerkinState
+    tol: float
+    envelope: float  # exp(-nu T), the rate the Picard ratios are held to
     l2_closure: float = None
     v0: object = None
+
+    def gates(self, tol_contr=CONTRACTION_TOL):
+        """Last residual within tol; every Picard ratio (0 if none) within the contraction gate."""
+        return [Gate("picard-residual", self.residuals[-1], self.tol),
+                Gate("picard-ratio", float(np.max(self.ratios, initial=0.0)),
+                     self.envelope * (1.0 + tol_contr))]
 
     @property
     def ratios(self):
@@ -149,7 +159,7 @@ def map_L(u0, config, lift, basis, *, tensors, m_radius=None):
     if m_radius is not None:
         ball = check_h1_bound(traj, m_radius)
         if not ball.passed:
-            warnings.warn(BallExit(f"sup_t ||u(t)|| = {ball.regime['sup_vnorm']:.6e} "
+            warnings.warn(BallExit(f"sup_t ||u(t)|| = {ball.lhs.max():.6e} "
                                    f"left the ball M = {m_radius:.6e}"))
     return traj.state(traj.n_steps)
 
@@ -157,12 +167,15 @@ def map_L(u0, config, lift, basis, *, tensors, m_radius=None):
 @dataclasses.dataclass
 class ContractionReport:
     ratios: list
-    max_ratio: float
     envelope: float
 
-    def passed(self, tol_contr=0.1):
+    def gates(self, tol_contr=CONTRACTION_TOL):
         # no ratio (every pair degenerate) measures nothing, so it cannot pass
-        return bool(self.ratios) and self.max_ratio <= self.envelope * (1.0 + tol_contr)
+        return [Gate("contraction-ratio", max(self.ratios) if self.ratios else math.nan,
+                     self.envelope * (1.0 + tol_contr))]
+
+    def passed(self, tol_contr=CONTRACTION_TOL):
+        return all(g.passed for g in self.gates(tol_contr))
 
 
 def measure_contraction(config, lift, basis, pairs=5, seed=0, *, budget, tensors):
@@ -192,8 +205,7 @@ def measure_contraction(config, lift, basis, pairs=5, seed=0, *, budget, tensors
         d0 = vnorm(u0 - y0, lam)
         if d0 > 0.0:  # a degenerate draw's ratio 0 is excluded from the max
             ratios.append(vnorm(lu - ly, lam) / d0)
-    return ContractionReport(ratios=ratios, max_ratio=max(ratios) if ratios else 0.0,
-                             envelope=math.exp(-config.nu * config.T))
+    return ContractionReport(ratios=ratios, envelope=math.exp(-config.nu * config.T))
 
 
 def find_reproductive(config, lift, basis, u0_init=None, tol=1e-10,
@@ -223,9 +235,9 @@ def find_reproductive(config, lift, basis, u0_init=None, tol=1e-10,
         r = vnorm(image.c - u.c, lam)
         residuals.append(r)
         if r <= tol:
-            closure = float(np.linalg.norm(image.c - u.c))
-            return FixedPointReport(residuals=residuals, converged=True,
-                                    state=u, l2_closure=closure,
+            return FixedPointReport(residuals=residuals, converged=True, state=u,
+                                    tol=tol, envelope=math.exp(-config.nu * config.T),
+                                    l2_closure=float(np.linalg.norm(image.c - u.c)),
                                     v0=basis.combine(u.c) + lift.G_eps)
         if cap is None:
             # geometric-series cap from the measured first residual

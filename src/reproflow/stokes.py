@@ -63,6 +63,8 @@ from .fields import (
 )
 
 CACHE_VERSION = 4
+ORTHONORMALITY_TOL = 1e-10
+EIGEN_RESIDUAL_TOL = 1e-8
 
 
 class EigensolverError(Exception):
@@ -374,7 +376,7 @@ def _is_basis_of(basis, m):
         return False
     h1 = np.array([inner_h1(basis.mode(j), basis.mode(j)) for j in range(m)])
     return bool(np.all(np.abs(h1 - lam) <= 1e-10 * np.abs(lam))
-                and basis.parities.all() and basis.orthonormality_error() <= 1e-10)
+                and basis.parities.all() and basis.orthonormality_error() <= ORTHONORMALITY_TOL)
 
 
 def compute_eigenbasis(grid, m, cache_dir=None):
@@ -409,7 +411,7 @@ def compute_eigenbasis(grid, m, cache_dir=None):
     basis = StokesBasis(grid, vals, ustack, vstack)
 
     err = basis.orthonormality_error()
-    if err > 1e-10:
+    if err > ORTHONORMALITY_TOL:
         raise EigensolverError(f"orthonormality off by {err:.3e} after build")
     if path:
         os.makedirs(cache_dir, exist_ok=True)

@@ -13,9 +13,11 @@ trajectories) and checks a discrete inequality:
              grid operators from two fixed coefficient states.
 
 Monitors are pure over their trajectory inputs: same trajectory, same
-report.  When a smallness precondition fails the monitor refuses to
-judge (RegimeViolation) instead of reporting a failure, because outside
-the regime the inequality is simply not claimed.
+report.  Each verdict is a named `Gate`, a value against its bound, and
+each tolerance is a constant beside the check that owns it.  When a
+smallness precondition fails the monitor refuses to judge
+(RegimeViolation) instead of reporting a failure, because outside the
+regime the inequality is simply not claimed.
 """
 
 import dataclasses
@@ -28,10 +30,34 @@ from .stokes import apply_stokes
 
 ENERGY_TOL = 1e-8
 AUDIT_TOL = 1e-12
+STABILITY_TOL = 0.05  # share by which ||z|| may outgrow its exp(-nu t) envelope
 
 
 class RegimeViolation(RuntimeError):
     """A monitor's smallness precondition does not hold for this run."""
+
+
+@dataclasses.dataclass(frozen=True)
+class Gate:
+    """One pass/fail decision `value sense bound` (sense "<=" or "<"); NaN or inf fails."""
+
+    name: str
+    value: float
+    bound: float
+    sense: str = "<="
+
+    @property
+    def passed(self):
+        held = self.value < self.bound if self.sense == "<" else self.value <= self.bound
+        return bool(np.isfinite(self.value) and held)
+
+    @property
+    def margin(self):
+        return self.bound - self.value
+
+    def line(self):
+        return (f"{'pass' if self.passed else 'FAIL'}  {self.name}: {self.value:+.3e} "
+                f"{self.sense} {self.bound:.3e} (margin {self.margin:+.3e})")
 
 
 @dataclasses.dataclass
@@ -42,28 +68,20 @@ class InequalityReport:
     lhs: np.ndarray
     rhs: np.ndarray
     tol: float
-    regime: dict
 
     @property
     def violations(self):
         return self.lhs - self.rhs
 
     @property
-    def max_violation(self):
-        """Signed worst margin; negative means the inequality held."""
-        return float(self.violations.max()) if self.violations.size else 0.0
+    def gate(self):
+        """Worst signed violation (NaN if a step is not finite) within tol."""
+        v = self.violations
+        return Gate(self.name, float(v.max()) if np.isfinite(v).all() else np.nan, self.tol)
 
     @property
     def passed(self):
-        return bool(np.isfinite(self.violations).all()) and self.max_violation <= self.tol
-
-    def lines(self):
-        status = "pass" if self.passed else "FAIL"
-        out = [f"{status}  {self.name}: max violation {self.max_violation:+.3e} "
-               f"(tol {self.tol:.1e})"]
-        for key, val in self.regime.items():
-            out.append(f"      regime {key}: {val}")
-        return out
+        return self.gate.passed
 
 
 @dataclasses.dataclass
@@ -72,14 +90,17 @@ class StabilityReport:
     z_norms: np.ndarray
     envelope: np.ndarray
     ratios: np.ndarray
-    monotone: bool
 
-    @property
-    def max_ratio(self):
-        return float(self.ratios.max())
+    def gates(self, tol_stab=STABILITY_TOL):
+        """Ratio within 1 + tol_stab (NaN when z(0) = 0), ||z|| non-increasing."""
+        z0 = float(self.z_norms[0])
+        return [Gate("stability-ratio", float(self.ratios.max()) if z0 > 0 else np.nan,
+                     1.0 + tol_stab),
+                Gate("stability-monotone", float(np.diff(self.z_norms).max()),
+                     1e-15 * max(z0, 1.0))]
 
-    def passed(self, tol_stab=0.05):
-        return self.max_ratio <= 1.0 + tol_stab and self.monotone
+    def passed(self, tol_stab=STABILITY_TOL):
+        return all(g.passed for g in self.gates(tol_stab))
 
 
 def poincare_constant(basis):
@@ -109,8 +130,7 @@ def check_energy_inequality(traj, nu, c_omega, beta=0.0, kappa=0.0, tol=ENERGY_T
     l2, h1, fsq = traj.l2sq, traj.h1sq, traj.f_l2sq
     lhs = (l2[1:] - l2[:-1]) / dt + 0.5 * nu * h1[1:]
     rhs = fsq[1:] / (nu * c_omega**2)
-    return InequalityReport("energy", lhs, rhs, tol + kappa * dt,
-                            regime={"beta": beta, "beta_max": 0.25 * nu, "kappa": kappa})
+    return InequalityReport("energy", lhs, rhs, tol + kappa * dt)
 
 
 def calibrate_slack(config, u0, lift, basis, tensors):
@@ -127,7 +147,7 @@ def calibrate_slack(config, u0, lift, basis, tensors):
     def worst(cfg):
         traj = solve(cfg, GalerkinState(0.0, u0.c.copy()), lift, basis,
                      tensors=tensors)
-        return check_energy_inequality(traj, config.nu, c_omega).max_violation
+        return check_energy_inequality(traj, config.nu, c_omega).gate.value
 
     fine = dataclasses.replace(config, dt=config.dt / 2)
     v_coarse = worst(config)
@@ -140,14 +160,11 @@ def check_h1_bound(traj, m_radius):
     """Report-only invariant-ball monitor: sup_t ||u(t)|| <= m_radius.
 
     A failure outside the smallness regime is a regime exit, not a
-    solver bug; the report records whether even the initial datum (every
-    row of a stack) was inside the ball so the two cases can be told apart.
+    solver bug; lhs[0], the initial datum's norm (every row of a stack),
+    tells whether it started inside the ball, so the two cases can be told apart.
     """
     sup = np.sqrt(traj.h1sq)
-    return InequalityReport("h1-ball", sup, np.full_like(sup, m_radius), 0.0,
-                            regime={"initial_in_ball": bool(np.all(sup[0] <= m_radius)),
-                                    "sup_vnorm": float(sup.max()),
-                                    "m_radius": float(m_radius)})
+    return InequalityReport("h1-ball", sup, np.full_like(sup, m_radius), 0.0)
 
 
 def check_tensors(tensors, basis, lift):
@@ -193,8 +210,7 @@ def check_tensors(tensors, basis, lift):
         scale = max(size, abs(field))
         devs.append(abs(coef - field) / scale if scale > 0 else 0.0)
     devs = np.array(devs)
-    return InequalityReport("tensor-audit", devs, np.zeros_like(devs), AUDIT_TOL,
-                            regime={"terms": " ".join(t[0] for t in terms)})
+    return InequalityReport("tensor-audit", devs, np.zeros_like(devs), AUDIT_TOL)
 
 
 def stability_experiment(config, v0, w0, lift, basis, *, tensors, m_radius):
@@ -212,13 +228,12 @@ def stability_experiment(config, v0, w0, lift, basis, *, tensors, m_radius):
 
     ball = check_h1_bound(traj, m_radius)
     if not ball.passed:
-        raise RegimeViolation(f"sup ||u|| = {ball.regime['sup_vnorm']:.3e} leaves "
+        raise RegimeViolation(f"sup ||u|| = {ball.lhs.max():.3e} leaves "
                               f"the smallness ball {m_radius:.3e}")
 
     z_norms = vnorm(traj.coeffs[:, 0] - traj.coeffs[:, 1], traj.lam)
     envelope = z_norms[0] * np.exp(-config.nu * traj.times)
     ratios = np.divide(z_norms, envelope, out=np.zeros_like(z_norms),
                        where=envelope > 0)
-    mono = bool(np.all(np.diff(z_norms) <= 1e-15 * max(z_norms[0], 1.0)))
     return StabilityReport(times=traj.times, z_norms=z_norms, envelope=envelope,
-                           ratios=ratios, monotone=mono)
+                           ratios=ratios)

@@ -20,6 +20,7 @@ from reproflow.lift import SolverFailure, boundary_profile, build_lift
 from reproflow.reproductive import NonConvergence
 from reproflow.snapshots import load
 from reproflow.stokes import EigensolverError, compute_eigenbasis
+from reproflow.verification import Gate
 
 # a tent of wall speed on the bottom wall, clear of the corners
 TENT = "# s value\n0.0 0\n0.3 0.0\n0.5 {peak}\n0.7 0.0\n3.9 0\n"
@@ -45,6 +46,10 @@ def write_config(tmp_path, name="run.yaml", **overrides):
 def read_manifest(outdir):
     with open(os.path.join(outdir, "manifest.json")) as fh:
         return json.load(fh)
+
+
+def gates_of(manifest):
+    return {g["name"]: g for g in manifest["gates"]}
 
 
 def test_unknown_keys_reported_with_paths(tmp_path, capsys):
@@ -78,14 +83,16 @@ def test_null_rejected_where_default_is_set(tmp_path, capsys, dotted):
     ("sweep.epsilons", []), ("sweep.epsilons", [0.4, 1.5]), ("sweep.epsilons", ["a"]),
     ("sweep.samples", 0), ("stability.perturbation", 0.0),
     ("verify.m_radius", 0.0),
-    ("verify", 3), ("solver.m", "six"), ("initial.kind", "box")],
+    ("verify", 3), ("solver.m", "six"), ("initial.kind", "box"),
+    ("initial.radius", -0.05), ("initial.radius", 0.0)],
     ids=["tol=0", "tol<0", "pairs=0", "epsilons=[]", "epsilon>1", "epsilon=str",
          "samples=0", "perturbation=0", "m_radius=0", "section=number", "m=str",
-         "kind=box"])
+         "kind=box", "radius<0", "radius=0"])
 def test_out_of_range_values_rejected(tmp_path, capsys, dotted, value):
     # tol <= 0 and a bad epsilon used to end in a traceback; zero pairs,
     # no epsilons, no samples, a zero perturbation or a zero ball radius
-    # (every contraction pair degenerate) passed a gate with nothing measured
+    # (every contraction pair degenerate) passed a gate with nothing measured;
+    # a start radius <= 0 ran a flipped or zero "ball" start
     section, _, key = dotted.partition(".")
     exp = {"sweep": "lift", "stability": "stability"}.get(section, "reproductive")
     path = write_config(tmp_path, experiment=exp, **{section: {key: value} if key else value})
@@ -338,7 +345,7 @@ def test_eigs_run_artifacts(tmp_path, capsys):
     assert rc == 0
     man = read_manifest(out)
     assert man["passed"] is True
-    assert man["summary"]["orthonormality_error"] <= 1e-10
+    assert gates_of(man)["orthonormality"]["value"] <= 1e-10
     assert set(man["outputs"]) == {"effective_config.json", "eigenvalues.csv",
                                    "manifest.json"}
     for name in man["outputs"]:
@@ -413,9 +420,9 @@ def test_lift_sweep_run(tmp_path, capsys):
     rc = main(["lift", "--config", path])
     capsys.readouterr()
     assert rc == 0
-    man = read_manifest(out)
-    assert man["summary"]["beta_strictly_decreasing"]
-    assert man["summary"]["ratio_non_increasing"]
+    gates = gates_of(read_manifest(out))
+    assert gates["beta-decreasing"]["passed"]
+    assert gates["smallness-non-increasing"]["passed"]
     with open(os.path.join(out, "beta_vs_eps.csv")) as fh:
         rows = fh.read().splitlines()
     assert rows[0] == "epsilon,delta,beta,smallness_ratio,div_max"
@@ -445,10 +452,10 @@ def test_verify_run_passes(tmp_path, capsys):
     rc = main(["verify", "--config", path])
     capsys.readouterr()
     assert rc == 0
-    man = read_manifest(out)
-    assert man["summary"]["energy_passed"] and man["summary"]["h1_passed"]
-    assert man["summary"]["tensor_audit_passed"]
-    assert man["summary"]["tensor_audit_max_deviation"] <= 1e-12
+    gates = gates_of(read_manifest(out))
+    assert gates["energy"]["passed"] and gates["h1-ball"]["passed"]
+    assert gates["tensor-audit"]["passed"]
+    assert gates["tensor-audit"]["value"] <= 1e-12
     assert os.path.exists(os.path.join(out, "violations.csv"))
 
 
@@ -469,8 +476,10 @@ def test_verify_fails_on_tenfold_advection_tensor(tmp_path, capsys, monkeypatch)
     capsys.readouterr()
     assert rc == 1
     man = read_manifest(out)
-    assert man["summary"]["energy_passed"] and man["summary"]["h1_passed"]
-    assert not man["summary"]["tensor_audit_passed"]
+    gates = gates_of(man)
+    assert gates["energy"]["passed"] and gates["h1-ball"]["passed"]
+    assert not gates["tensor-audit"]["passed"]
+    assert man["passed"] is False
 
 
 def test_stability_run_passes(tmp_path, capsys):
@@ -481,9 +490,9 @@ def test_stability_run_passes(tmp_path, capsys):
     rc = main(["stability", "--config", path])
     capsys.readouterr()
     assert rc == 0
-    man = read_manifest(out)
-    assert man["summary"]["max_ratio"] <= 1.05
-    assert man["summary"]["monotone"]
+    gates = gates_of(read_manifest(out))
+    assert gates["stability-ratio"]["value"] <= 1.05
+    assert gates["stability-monotone"]["passed"]
 
 
 def test_reproductive_run_and_budget_gate(tmp_path, capsys):
@@ -494,8 +503,7 @@ def test_reproductive_run_and_budget_gate(tmp_path, capsys):
     rc = main(["reproductive", "--config", path])
     capsys.readouterr()
     assert rc == 0
-    man = read_manifest(out)
-    assert man["summary"]["converged"]
+    assert gates_of(read_manifest(out))["picard-residual"]["passed"]
     assert os.path.exists(os.path.join(out, "v0_reproductive.npz"))
 
     again = str(tmp_path / "rep_again")
@@ -550,6 +558,45 @@ def test_rerun_is_byte_identical(tmp_path, capsys):
         else:
             assert blob_a == blob_b, name
     assert read_manifest(out_a)["summary"] == read_manifest(out_b)["summary"]
+
+    # a rerun judges the same: every gate's value, bound and margin agree
+    verify_a, verify_b = str(tmp_path / "verify_a"), str(tmp_path / "verify_b")
+    path = write_config(tmp_path, name="verify.yaml", experiment="verify", out=verify_a,
+                        solver={"nx": 32, "m": 8, "T": 0.1})
+    assert main(["verify", "--config", path]) == 0
+    assert main(["verify", "--config", path, "--out", verify_b]) == 0
+    capsys.readouterr()
+    gates = read_manifest(verify_a)["gates"]
+    assert len(gates) == 3 and gates == read_manifest(verify_b)["gates"]
+
+
+# every experiment's gates, in order; dropping or renaming one shows here
+GATES = {
+    "eigs": ["orthonormality", "eigen-residual"],
+    "lift": ["beta-decreasing", "smallness-non-increasing", "divergence"],
+    "solve": [],
+    "verify": ["energy", "h1-ball", "tensor-audit"],
+    "stability": ["stability-ratio", "stability-monotone"],
+    "reproductive": ["picard-residual", "picard-ratio", "contraction-ratio"],
+}
+
+
+def test_each_experiment_records_its_gates(tmp_path, capsys):
+    assert set(GATES) == set(cli.EXPERIMENTS)
+    for exp, names in GATES.items():
+        out = str(tmp_path / exp)
+        path = write_config(tmp_path, name=f"{exp}.yaml", experiment=exp, out=out,
+                            solver={"nx": 32, "m": 8, "T": 0.1}, sweep={"samples": 20},
+                            reproductive={"pairs": 2})
+        assert main([exp, "--config", path]) == 0
+        printed = capsys.readouterr().out
+        man = read_manifest(out)
+        assert [g["name"] for g in man["gates"]] == names
+        assert man["passed"] is all(g["passed"] for g in man["gates"])
+        for g in man["gates"]:
+            assert g["margin"] == g["bound"] - g["value"]
+            gate = Gate(g["name"], g["value"], g["bound"], g["sense"])
+            assert gate.passed is g["passed"] and gate.line() in printed
 
 
 def test_cache_env_is_honored(tmp_path, capsys, monkeypatch):

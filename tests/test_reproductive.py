@@ -60,7 +60,7 @@ def test_default_budget_fixture_holds_at_the_standard_fixture(config48, bump48, 
     headroom = (budget.alpha / budget.g_norm, budget.k_force / budget.f_norm)
     print(f"sup V-norm after t = 0: {ball.lhs[1:].max():.4e}; "
           f"alpha and K headroom {headroom[0]:.3f}x, {headroom[1]:.3f}x")
-    assert ball.passed and ball.regime["initial_in_ball"], ball.lines()
+    assert ball.passed and np.all(ball.lhs[0] <= budget.m_radius), ball.gate.line()
     assert all(1.4 <= h <= 1.6 for h in headroom)
 
 
@@ -114,7 +114,9 @@ def test_contraction_below_envelope(config32, lift32, basis32, tensors32):
     print(f"ratios {[f'{r:.3e}' for r in report.ratios]} "
           f"vs envelope {report.envelope:.6f}")
     assert report.envelope == pytest.approx(np.exp(-config32.nu * config32.T))
-    assert report.max_ratio <= report.envelope * 1.1
+    [gate] = report.gates()
+    assert gate.name == "contraction-ratio" and gate.value == max(report.ratios)
+    assert gate.value <= report.envelope * 1.1
     assert report.passed(0.1)
 
 
@@ -178,6 +180,11 @@ def test_find_reproductive_converges(config32, lift32, basis32, tensors32):
     assert report.l2_closure <= 1e-9
     env = np.exp(-config32.nu * config32.T)
     assert all(r <= env * 1.1 for r in report.ratios)
+    residual, ratio = report.gates()
+    assert residual.value == report.residuals[-1] and residual.bound == 1e-10
+    assert ratio.value == max(report.ratios)
+    assert ratio.bound == pytest.approx(env * 1.1, rel=1e-15)
+    assert residual.passed and ratio.passed
 
     # the returned datum really is reproductive: one more period closes
     traj = solve(config32, report.state.copy(), lift32, basis32,
@@ -208,6 +215,8 @@ def test_zero_data_fixed_point_is_rest(config32, basis32, zero_lift32):
     assert report.converged
     assert report.residuals == [0.0]
     assert np.all(report.state.c == 0.0)
+    # no Picard ratio to judge: the ratio gate reads 0 and passes
+    assert [(g.value, g.passed) for g in report.gates()] == [(0.0, True), (0.0, True)]
 
 
 def test_nonconvergence_reports_partial_residuals(config32, lift32, basis32,
@@ -248,7 +257,7 @@ def test_contraction_skips_degenerate_draws(monkeypatch, config32, lift32, basis
                                  budget=budget, tensors=tensors32)
     assert len(report.ratios) == 2
     assert all(np.isfinite(r) and r > 0.0 for r in report.ratios)
-    assert report.max_ratio == max(report.ratios)
+    assert report.gates()[0].value == max(report.ratios)
     assert report.passed(0.1)
 
 
@@ -259,5 +268,5 @@ def test_contraction_of_degenerate_draws_only_fails(monkeypatch, config32, lift3
     budget = validate_budget(lift32.boundary, lift32, nu=1.0)
     report = measure_contraction(config32, lift32, basis32, pairs=1, seed=7,
                                  budget=budget, tensors=tensors32)
-    assert report.ratios == [] and report.max_ratio == 0.0
+    assert report.ratios == [] and np.isnan(report.gates()[0].value)
     assert not report.passed(0.1)

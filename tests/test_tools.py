@@ -6,12 +6,16 @@ to its signature.  The benchmark
 is read the same way: the names `bench/workload.py` reaches through
 ``from reproflow import (...)`` and the (module, attribute) pairs the
 tracer in `bench/spans.py` patches must exist, so that a library rename
-breaks this suite and not only the benchmark.  Every script that the
-library, the tests or the READMEs name must exist.
+breaks this suite and not only the benchmark.  The report APIs the
+workloads judge by (`passed`, `passed(tol)`, `converged`) are reached
+through objects, not names, so one iteration of each verifying workload
+is run and must pass its own checks.  Every script that the library, the
+tests or the READMEs name must exist.
 """
 
 import ast
 import importlib
+import importlib.util
 import inspect
 import pathlib
 import re
@@ -115,6 +119,17 @@ def test_bench_uses_existing_library_names():
     for module, attr, _ in targets:
         assert hasattr(importlib.import_module(module), attr), (
             f"spans.TARGETS: {module} has no {attr}")
+
+
+@pytest.mark.parametrize("name", ["trajectory", "period_map"])
+def test_bench_workload_iteration_passes_its_checks(name, tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))  # workload.py imports its sibling spans.py
+    spec = importlib.util.spec_from_file_location("bench_workload", BENCH / "workload.py")
+    workload = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workload)
+    workload._import_library()
+    runner = workload.WORKLOADS[name](workload.Context(name, 0, str(tmp_path)))
+    assert runner.check(runner.iterate(0, None)) == []
 
 
 def test_named_tool_scripts_exist():

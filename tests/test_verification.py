@@ -18,6 +18,8 @@ from reproflow.galerkin import (
 )
 from reproflow.verification import (
     AUDIT_TOL,
+    Gate,
+    InequalityReport,
     RegimeViolation,
     calibrate_slack,
     check_energy_inequality,
@@ -34,6 +36,19 @@ def bump_traj(config32, lift32, basis32, tensors32):
                  tensors=tensors32)
 
 
+def test_gate_verdicts():
+    assert Gate("g", 1.0, 1.0).passed and not Gate("g", 1.0, 1.0, "<").passed
+    assert Gate("g", 0.5, 1.0, "<").passed and not Gate("g", 1.5, 1.0).passed
+    for value in (np.nan, np.inf, -np.inf):
+        assert not Gate("g", value, 1.0).passed
+    gate = Gate("g", 0.25, 1.0)
+    assert gate.margin == 0.75
+    assert gate.line() == "pass  g: +2.500e-01 <= 1.000e+00 (margin +7.500e-01)"
+    # a step that is not finite fails even where the worst finite one holds
+    report = InequalityReport("x", np.array([-np.inf, -1.0]), np.zeros(2), 0.0)
+    assert np.isnan(report.gate.value) and not report.passed
+
+
 def test_poincare_constant(basis48):
     c = poincare_constant(basis48)
     assert c == pytest.approx(0.1383264679, rel=1e-8)
@@ -46,8 +61,7 @@ def test_energy_inequality_on_decaying_vortices(basis48, zero_lift48):
     c0 *= 0.2 / vnorm(c0, basis48.eigenvalues)
     traj = solve(cfg, GalerkinState(0.0, c0), zero_lift48, basis48)
     report = check_energy_inequality(traj, cfg.nu, poincare_constant(basis48))
-    for line in report.lines():
-        print(line)
+    print(report.gate.line())
     assert report.passed
     # no forcing: d|u|^2/dt = -2 nu ||u||^2, so the lhs is close to
     # -1.5 nu ||u_{n+1}||^2 at every step
@@ -59,17 +73,16 @@ def test_energy_inequality_on_decaying_vortices(basis48, zero_lift48):
 def test_energy_inequality_on_bump_run(bump_traj, basis32, lift32):
     report = check_energy_inequality(bump_traj, 1.0, poincare_constant(basis32),
                                      beta=lift32.beta, kappa=5.737261e-4)
-    for line in report.lines():
-        print(line)
+    print(report.gate.line())
     assert report.passed
-    assert report.max_violation < 0.0
+    assert report.gate.value < 0.0
 
 
 def test_zero_data_violations_are_exactly_zero(config32, basis32, zero_lift32):
     traj = solve(config32, GalerkinState(0.0, np.zeros(8)), zero_lift32, basis32)
     report = check_energy_inequality(traj, config32.nu,
                                      poincare_constant(basis32))
-    assert report.max_violation == 0.0
+    assert report.gate.value == 0.0
     assert np.all(report.lhs == 0.0) and np.all(report.rhs == 0.0)
 
 
@@ -81,12 +94,12 @@ def test_beta_gate_refuses_to_judge(bump_traj, basis32):
 
 def test_h1_ball_monitor(bump_traj):
     ok = check_h1_bound(bump_traj, m_radius=0.05)
-    assert ok.passed and ok.regime["initial_in_ball"]
+    assert ok.passed and np.all(ok.lhs[0] <= 0.05)
 
     tight = check_h1_bound(bump_traj, m_radius=1e-9)
     assert not tight.passed
-    assert tight.regime["initial_in_ball"]  # started at zero, exited later
-    assert tight.regime["sup_vnorm"] > 1e-9
+    assert np.all(tight.lhs[0] <= 1e-9)  # started at zero, exited later
+    assert tight.lhs.max() > 1e-9
 
 
 def test_h1_ball_monitor_on_a_stack(config32, lift32, basis32, tensors32):
@@ -96,12 +109,12 @@ def test_h1_ball_monitor_on_a_stack(config32, lift32, basis32, tensors32):
     c[1] *= 0.02 / vnorm(c[1], basis32.eigenvalues)
     traj = solve(config32, GalerkinState(0.0, c), lift32, basis32, tensors=tensors32)
     ok = check_h1_bound(traj, m_radius=0.05)
-    assert ok.passed and ok.regime["initial_in_ball"]
+    assert ok.passed and np.all(ok.lhs[0] <= 0.05)
 
     tight = check_h1_bound(traj, m_radius=0.01)
     assert not tight.passed
-    assert not tight.regime["initial_in_ball"]  # row 1 starts outside
-    assert tight.regime["sup_vnorm"] == pytest.approx(0.02, rel=1e-12)
+    assert not np.all(tight.lhs[0] <= 0.01)  # row 1 starts outside
+    assert tight.lhs.max() == pytest.approx(0.02, rel=1e-12)
 
 
 def test_calibrate_slack_nonnegative(config32, lift32, basis32, tensors32):
@@ -134,10 +147,11 @@ def test_stability_decay(config32, lift32, basis32, tensors32):
     w0 = GalerkinState(0.0, z)
     rep = stability_experiment(config32, v0, w0, lift32, basis32,
                                tensors=tensors32, m_radius=0.05)
-    print(f"max envelope ratio {rep.max_ratio:.6f}, "
+    ratio, monotone = rep.gates()
+    print(f"{ratio.line()}; {monotone.line()}; "
           f"z: {rep.z_norms[0]:.3e} -> {rep.z_norms[-1]:.3e}")
     assert rep.passed(0.05)
-    assert rep.monotone
+    assert monotone.passed
     assert rep.z_norms[-1] < rep.z_norms[0]
     assert np.array_equal(rep.ratios, rep.z_norms / rep.envelope)
 
@@ -167,12 +181,17 @@ def test_stability_is_one_stacked_solve(monkeypatch, config32, lift32, basis32,
 
 
 def test_stability_identical_states(config32, lift32, basis32, tensors32):
+    # z(0) = 0 is reported with ratio 0, not 0/0, but a pair that measures
+    # nothing must not pass the ratio gate, as a contraction sample with no
+    # ratio does not
     v0 = GalerkinState(0.0, np.zeros(8))
     rep = stability_experiment(config32, v0, v0.copy(), lift32, basis32,
                                tensors=tensors32, m_radius=0.05)
-    assert rep.max_ratio == 0.0
     assert not rep.ratios.any()
-    assert rep.passed()
+    ratio, monotone = rep.gates()
+    assert np.isnan(ratio.value) and not ratio.passed
+    assert monotone.passed
+    assert not rep.passed()
 
 
 def test_stability_ball_exit_is_regime_violation(config32, lift32, basis32,
@@ -208,7 +227,7 @@ def test_energy_monitor_catches_injected_violation(bump_traj, basis32, lift32):
     report = check_energy_inequality(bad, 1.0, poincare_constant(basis32),
                                      beta=lift32.beta)
     assert not report.passed
-    assert report.max_violation > 0.0
+    assert report.gate.value > 0.0
     assert int(np.argmax(report.violations)) == 99
 
 
@@ -248,12 +267,11 @@ def test_tensor_audit(case, basis48, lift48, zero_lift48, tensors48, basis48_64,
     if case.startswith("W_diagonal*2"):
         tensors = _double_w_diagonal(tensors)
     report = check_tensors(tensors, basis, lift)
-    for line in report.lines():
-        print(line)
-    print("deviations:", report.lhs)
-    assert report.regime["terms"] == "lam B D E F"
+    print(report.gate.line())
+    print("deviations of lam, B, D, E, F:", report.lhs)
+    assert report.lhs.shape == (5,)
     if case in DEFECTS or case.startswith("W_diagonal*2"):
         assert not report.passed
-        assert report.max_violation > 1e6 * AUDIT_TOL
+        assert report.gate.value > 1e6 * AUDIT_TOL
     else:
         assert report.passed
