@@ -488,7 +488,8 @@ def _run_reproductive(ctx):
     save_vector(ctx.path("v0_reproductive.npz"), report.v0)
     return report.gates() + contraction.gates(), {
         "iterations": report.n_iterations, "residuals": report.residuals,
-        "l2_closure": report.l2_closure, "envelope": contraction.envelope}
+        "l2_closure": report.l2_closure, "envelope": contraction.envelope,
+        "budget": dataclasses.asdict(budget)}
 
 
 RUNNERS = {

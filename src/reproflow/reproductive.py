@@ -97,11 +97,11 @@ class FixedPointReport:
     l2_closure: float = None
     v0: object = None
 
-    def gates(self, tol_contr=CONTRACTION_TOL):
+    def gates(self):
         """Last residual within tol; every Picard ratio (0 if none) within the contraction gate."""
         return [Gate("picard-residual", self.residuals[-1], self.tol),
                 Gate("picard-ratio", float(np.max(self.ratios, initial=0.0)),
-                     self.envelope * (1.0 + tol_contr))]
+                     self.envelope * (1.0 + CONTRACTION_TOL))]
 
     @property
     def ratios(self):

@@ -31,6 +31,7 @@ from .stokes import apply_stokes
 ENERGY_TOL = 1e-8
 AUDIT_TOL = 1e-12
 STABILITY_TOL = 0.05  # share by which ||z|| may outgrow its exp(-nu t) envelope
+MONOTONE_ROUNDING = 1e-15  # rounding allowed on a step's growth of ||z||, relative to max(||z(0)||, 1)
 
 
 class RegimeViolation(RuntimeError):
@@ -97,7 +98,7 @@ class StabilityReport:
         return [Gate("stability-ratio", float(self.ratios.max()) if z0 > 0 else np.nan,
                      1.0 + tol_stab),
                 Gate("stability-monotone", float(np.diff(self.z_norms).max()),
-                     1e-15 * max(z0, 1.0))]
+                     MONOTONE_ROUNDING * max(z0, 1.0))]
 
     def passed(self, tol_stab=STABILITY_TOL):
         return all(g.passed for g in self.gates(tol_stab))

@@ -503,8 +503,14 @@ def test_reproductive_run_and_budget_gate(tmp_path, capsys):
     rc = main(["reproductive", "--config", path])
     capsys.readouterr()
     assert rc == 0
-    assert gates_of(read_manifest(out))["picard-residual"]["passed"]
+    man = read_manifest(out)
+    assert gates_of(man)["picard-residual"]["passed"]
     assert os.path.exists(os.path.join(out, "v0_reproductive.npz"))
+    # the measured smallness budget is kept with its bounds
+    budget = man["summary"]["budget"]
+    assert 0 < budget["g_norm"] <= budget["alpha"]
+    assert 0 < budget["f_norm"] <= budget["k_force"]
+    assert budget["beta"] > 0
 
     again = str(tmp_path / "rep_again")
     assert main(["reproductive", "--config", path, "--out", again]) == 0
