@@ -473,11 +473,9 @@ def _run_reproductive(ctx):
         m_radius=ctx.config.raw["verify"]["m_radius"]))
     # first, as it refuses (RegimeViolation) data outside the budget
     contraction = measure_contraction(cfg, lift, basis, pairs=rcfg["pairs"],
-                                      seed=ctx.config.seed, budget=budget,
-                                      tensors=tensors)
+                                      seed=ctx.config.seed, budget=budget, tensors=tensors)
     write_csv(ctx.path("contraction.csv"), ["pair", "ratio", "envelope"],
-              [(i, r, contraction.envelope)
-               for i, r in enumerate(contraction.ratios)])
+              [(i, r, contraction.envelope) for i, r in enumerate(contraction.ratios)])
 
     report = find_reproductive(cfg, lift, basis, tol=rcfg["tol"],
                                tensors=tensors, m_radius=budget.m_radius)
