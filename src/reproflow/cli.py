@@ -2,13 +2,16 @@
 
 One run = one YAML config + one output directory.  Every run value is
 set in the config; the command line adds only ``--config``, ``--out``
-(a path) and ``--seed``.  The config is validated strictly (unknown
-keys and misplaced nulls are errors, reported with their full path) and
-the effective config — defaults filled in — is written next to the
-results, so a run directory is self-describing.  Every run ends
-with an atomically written ``manifest.json`` listing the config hash,
-code version, basis cache key, wall-clock, every output file, every gate
-(value, bound, margin, verdict) and ``passed``, their conjunction.
+(a path) and ``--seed``.  `parse_config` judges a config in one pass,
+by each key's type and rule in `SCHEMA` (unknown keys, misplaced nulls
+and broken rules are reported with their full path), and builds the
+wall data; a config error exits 2 before the output directory exists.
+The effective config — defaults filled in — is written next to the
+results, so a run directory is self-describing.  Every run ends with an
+atomically written ``manifest.json`` listing the config hash, code
+version, basis cache key, wall-clock, every output file, every gate
+(value, bound, margin, verdict) and ``passed``, their conjunction, or a
+``config_error`` the run itself found (the explicit dt bound).
 
 Exit codes: 0 every gate passed; 1 a gate failed or a monitor refused
 to judge (out of regime); 2 usage or config error; 3 numerical failure
@@ -87,89 +90,90 @@ class ConfigFileError(ValueError):
 # config schema
 # ---------------------------------------------------------------------------
 
-# (default, type) pairs; dicts nest.  None as default means "may be absent"
-# and is the only case where a config may write null.
+# A rule is a tuple of the allowed values or a (predicate, phrase) pair.
+POSITIVE = (lambda x: x > 0, "a positive number")
+AT_LEAST_1 = (lambda n: n >= 1, "at least 1")
+EPSILONS = (lambda es: len(es) > 0 and all(
+    type(e) in (int, float) and 0.0 < e <= 1.0 for e in es),
+    "a non-empty list of numbers in (0, 1]")
+
+# (default, type, rule) rows; dicts nest.  None as default means "may be
+# absent" and is the only case where a config may write null.  The solver
+# rows have no rule, as galerkin.validate_config is their range check, and
+# neither has boundary.profile: lift.boundary_profile knows the names.
 SCHEMA = {
-    "experiment": (None, str),
-    "out": ("runs/out", str),
-    "seed": (0, int),
+    "experiment": (None, str, EXPERIMENTS),
+    "out": ("runs/out", str, None),
+    "seed": (0, int, None),
     "solver": {
-        "nu": (1.0, float),
-        "T": (1.0, float),
-        "dt": (1e-3, float),
-        "m": (32, int),
-        "epsilon": (0.4, float),
-        "nx": (48, int),
+        "nu": (1.0, float, None),
+        "T": (1.0, float, None),
+        "dt": (1e-3, float, None),
+        "m": (32, int, None),
+        "epsilon": (0.4, float, None),
+        "nx": (48, int, None),
     },
     "boundary": {
-        "profile": (None, str),
-        "amplitude": (1.0, float),
-        "table": (None, str),
+        "profile": (None, str, None),
+        "amplitude": (1.0, float, None),
+        "table": (None, str, None),
     },
     "initial": {
-        "kind": ("zero", str),
-        "radius": (0.05, float),
+        "kind": ("zero", str, ("zero", "ball")),
+        "radius": (0.05, float, POSITIVE),
     },
     "verify": {
         # slack rate of the standard fixture, recomputed and pinned by
         # tests/test_verification.py::test_kappa_default_is_the_calibrated_rate
-        "kappa": (3.00531870e-3, float),
+        "kappa": (3.00531870e-3, float, None),
         # the smallness ball B_M of verify, stability and reproductive
-        "m_radius": (DEFAULT_BUDGET_FIXTURE["m_radius"], float),
+        "m_radius": (DEFAULT_BUDGET_FIXTURE["m_radius"], float, POSITIVE),
     },
     "stability": {
-        "perturbation": (1e-4, float),
+        "perturbation": (1e-4, float, POSITIVE),
     },
     "reproductive": {
-        "tol": (1e-10, float),
-        "pairs": (5, int),
+        "tol": (1e-10, float, POSITIVE),
+        "pairs": (5, int, AT_LEAST_1),
     },
     "sweep": {
-        "epsilons": ([0.4, 0.2, 0.1, 0.05], list),
-        "samples": (100, int),
+        "epsilons": ([0.4, 0.2, 0.1, 0.05], list, EPSILONS),
+        "samples": (100, int, AT_LEAST_1),
     },
 }
 
 
-def _walk_schema(data, schema, path, errors, out):
-    for key, val in data.items():
-        here = f"{path}.{key}" if path else key
-        if key not in schema:
-            known = ", ".join(sorted(schema))
-            errors.append(f"{here}: unknown key (expected one of: {known})")
-            continue
-        spec = schema[key]
-        if isinstance(spec, dict):
-            if not isinstance(val, dict):
-                errors.append(f"{here}: expected a mapping")
-                continue
-            _walk_schema(val, spec, here, errors, out.setdefault(key, {}))
-            continue
-        default, typ = spec
-        if val is None:
-            if default is None:
-                out[key] = None
-            else:
-                errors.append(f"{here}: expected {typ.__name__}, got null")
-            continue
-        if typ is float and isinstance(val, (int, float)) and not isinstance(val, bool):
-            out[key] = float(val)
-        elif typ is int and isinstance(val, int) and not isinstance(val, bool):
-            out[key] = int(val)
-        elif typ is list and isinstance(val, list):
-            out[key] = list(val)
-        elif typ is str and isinstance(val, str):
-            out[key] = val
-        else:
-            errors.append(f"{here}: expected {typ.__name__}, got {type(val).__name__}")
+def _walk_schema(data, schema, path, errors):
+    """The effective config of one mapping: every key typed, ruled and defaulted.
 
-
-def _fill_defaults(schema, out):
+    Unknown keys, wrong types and broken rules (of defaults too) are
+    appended to `errors` with their dotted path.
+    """
+    errors.extend(f"{path}{key}: unknown key (expected one of: {', '.join(sorted(schema))})"
+                  for key in data if key not in schema)
+    out = {}
     for key, spec in schema.items():
+        here, val = path + key, data.get(key, {} if isinstance(spec, dict) else spec[0])
         if isinstance(spec, dict):
-            _fill_defaults(spec, out.setdefault(key, {}))
-        elif key not in out:
-            out[key] = spec[0]
+            if isinstance(val, dict):
+                out[key] = _walk_schema(val, spec, here + ".", errors)
+            else:
+                errors.append(f"{here}: expected a mapping")
+            continue
+        default, typ, rule = spec
+        if val is not None or default is not None:
+            if isinstance(val, bool) or not isinstance(val, (int, float) if typ is float else typ):
+                got = "null" if val is None else type(val).__name__
+                errors.append(f"{here}: expected {typ.__name__}, got {got}")
+                continue
+            val = typ(val)
+        if rule is not None:
+            ok, want = rule if callable(rule[0]) else (rule.__contains__,
+                                                      "one of " + ", ".join(rule))
+            if not ok(val):
+                errors.append(f"{here}: expected {want}, got {val!r}")
+        out[key] = val
+    return out
 
 
 @dataclasses.dataclass
@@ -179,6 +183,7 @@ class RunConfig:
     seed: int
     solver: SolverConfig
     raw: dict  # the full effective config (what the manifest hashes)
+    boundary: BoundaryData  # on the run's grid
     # boundary.table resolved against the config file's directory, with the
     # sha256 of its bytes; None without a table
     table: dict = None
@@ -187,9 +192,11 @@ class RunConfig:
 def parse_config(path, out_override=None, seed_override=None):
     """Load, validate, and default-fill a YAML run config.
 
-    Unknown keys anywhere in the tree are collected and reported with
-    their dotted path; nothing is silently ignored.  A relative
-    boundary.table is read from the config file's directory.
+    The one place a config is judged: every problem is a ConfigFileError,
+    raised before anything is written.  Unknown keys anywhere in the tree
+    are collected and reported with their dotted path; nothing is
+    silently ignored.  The wall data is built here, on the run's grid; a
+    relative boundary.table is read from the config file's directory.
     """
     try:
         with open(path) as fh:
@@ -203,21 +210,14 @@ def parse_config(path, out_override=None, seed_override=None):
     if not isinstance(data, dict):
         raise ConfigFileError("config root must be a mapping")
 
-    errors, out = [], {}
-    _walk_schema(data, SCHEMA, "", errors, out)
+    errors = []
+    out = _walk_schema(data, SCHEMA, "", errors)
     if errors:
         raise ConfigFileError("invalid config:\n  " + "\n  ".join(errors))
-    _fill_defaults(SCHEMA, out)
-
     if out_override is not None:
         out["out"] = out_override
     if seed_override is not None:
         out["seed"] = int(seed_override)
-
-    if out["experiment"] not in EXPERIMENTS:
-        raise ConfigFileError(
-            f"experiment: must be one of {', '.join(EXPERIMENTS)}, "
-            f"got {out['experiment']!r}")
 
     try:
         solver = validate_config(SolverConfig(**out["solver"]))
@@ -235,37 +235,20 @@ def parse_config(path, out_override=None, seed_override=None):
         raise ConfigFileError(
             f"boundary: the {out['experiment']} experiment needs wall data "
             f"(set boundary.profile or boundary.table)")
-    if out["initial"]["kind"] not in ("zero", "ball"):
-        raise ConfigFileError(
-            f"initial.kind: expected zero or ball, got {out['initial']['kind']!r}")
-    # each of these would otherwise crash a run or let a gate pass on nothing
-    rp, sw, pert = out["reproductive"], out["sweep"], out["stability"]["perturbation"]
-    radius, start = out["verify"]["m_radius"], out["initial"]["radius"]
-    eps_ok = len(sw["epsilons"]) > 0 and all(
-        type(e) in (int, float) and 0.0 < e <= 1.0 for e in sw["epsilons"])
-    ranges = [("initial.radius", start, start > 0, "a positive number"),
-              ("reproductive.tol", rp["tol"], rp["tol"] > 0, "a positive number"),
-              ("reproductive.pairs", rp["pairs"], rp["pairs"] >= 1, "at least 1"),
-              ("stability.perturbation", pert, pert > 0, "a positive number"),
-              ("verify.m_radius", radius, radius > 0, "a positive number"),
-              ("sweep.epsilons", sw["epsilons"], eps_ok,
-               "a non-empty list of numbers in (0, 1]"),
-              ("sweep.samples", sw["samples"], sw["samples"] >= 1, "at least 1")]
-    errors = [f"{here}: expected {want}, got {val!r}"
-              for here, val, ok, want in ranges if not ok]
-    if errors:
-        raise ConfigFileError("invalid config:\n  " + "\n  ".join(errors))
-
-    table = None
-    if b["table"] is not None:
-        table_path = os.path.join(os.path.dirname(os.path.abspath(path)), b["table"])
-        try:
+    grid, table = Grid(SQUARE, solver.nx), None
+    boundary = BoundaryData(grid, {})  # no wall data: zeros
+    try:
+        if b["table"] is not None:
+            table_path = os.path.join(os.path.dirname(os.path.abspath(path)), b["table"])
             with open(table_path, "rb") as fh:
                 table = {"path": table_path, "sha256": hashlib.sha256(fh.read()).hexdigest()}
-        except OSError as exc:
-            raise ConfigFileError(f"boundary.table: {table_path}: {exc.strerror}")
-    return RunConfig(experiment=out["experiment"], out=out["out"],
-                     seed=out["seed"], solver=solver, raw=out, table=table)
+            boundary = load_boundary_table(grid, table_path)
+        elif b["profile"] is not None:
+            boundary = boundary_profile(grid, b["profile"], amplitude=b["amplitude"])
+    except (InvalidBoundaryData, OSError) as exc:
+        raise ConfigFileError(f"boundary.{'profile' if b['table'] is None else 'table'}: {exc}")
+    return RunConfig(experiment=out["experiment"], out=out["out"], seed=out["seed"],
+                     solver=solver, raw=out, boundary=boundary, table=table)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +287,7 @@ class RunContext:
         os.makedirs(self.outdir, exist_ok=True)
         self.cache_dir = os.environ.get(CACHE_ENV) or os.path.join(self.outdir, "cache")
         self.outputs = []
-        self.grid = Grid(SQUARE, config.solver.nx)
+        self.grid = config.boundary.grid
 
     def path(self, name):
         self.outputs.append(name)
@@ -318,26 +301,17 @@ class RunContext:
         return os.path.basename(_cache_path(self.cache_dir, self.grid,
                                             self.config.solver.m))
 
-    def boundary(self):
-        b = self.config.raw["boundary"]
-        if self.config.table is not None:
-            return load_boundary_table(self.grid, self.config.table["path"])
-        if b["profile"] is not None:
-            return boundary_profile(self.grid, b["profile"], amplitude=b["amplitude"])
-        return BoundaryData(self.grid, {})
-
     def pipeline(self):
-        """(basis, boundary, lift, tensors, rng) of a solving experiment.
+        """(basis, lift, tensors, rng) of a solving experiment.
 
         Each runner calls this once, so nothing is built twice in a run;
         without wall data the boundary is all zeros and so is its lift.
         """
         cfg = self.config.solver
         basis = self.basis()
-        boundary = self.boundary()
-        lift = build_lift(boundary, cfg.epsilon, self.grid)
+        lift = build_lift(self.config.boundary, cfg.epsilon, self.grid)
         tensors = assemble_tensors(basis, lift, nu=cfg.nu)
-        return basis, boundary, lift, tensors, np.random.default_rng(self.config.seed)
+        return basis, lift, tensors, np.random.default_rng(self.config.seed)
 
     def initial_state(self, basis, rng):
         ini = self.config.raw["initial"]
@@ -379,7 +353,7 @@ def _run_eigs(ctx):
 
 def _run_lift(ctx):
     sweep = ctx.config.raw["sweep"]
-    boundary = ctx.boundary()
+    boundary = ctx.config.boundary
     # the snapshot is the run's own lift, whether or not the sweep visits its epsilon
     own = build_lift(boundary, ctx.config.solver.epsilon, ctx.grid)
     save_vector(ctx.path("lift_G.npz"), own.G_eps)
@@ -405,7 +379,7 @@ def _run_lift(ctx):
 
 def _solve_common(ctx):
     """Solve from the configured initial state; writes the trajectory CSVs."""
-    basis, _, lift, tensors, rng = ctx.pipeline()
+    basis, lift, tensors, rng = ctx.pipeline()
     u0 = ctx.initial_state(basis, rng)
     traj = solve(ctx.config.solver, u0, lift, basis, tensors=tensors)
     _write_trajectory(ctx, traj)
@@ -451,7 +425,7 @@ def _run_verify(ctx):
 def _run_stability(ctx):
     cfg = ctx.config.solver
     amp = ctx.config.raw["stability"]["perturbation"]
-    basis, _, lift, tensors, rng = ctx.pipeline()
+    basis, lift, tensors, rng = ctx.pipeline()
     v0 = ctx.initial_state(basis, rng)
     z = rng.standard_normal(cfg.m)
     z *= amp / vnorm(z, basis.eigenvalues)
@@ -466,9 +440,9 @@ def _run_stability(ctx):
 def _run_reproductive(ctx):
     cfg = ctx.config.solver
     rcfg = ctx.config.raw["reproductive"]
-    basis, boundary, lift, tensors, _ = ctx.pipeline()
+    basis, lift, tensors, _ = ctx.pipeline()
 
-    budget = validate_budget(boundary, lift, cfg.nu, budget=SmallnessBudget(
+    budget = validate_budget(ctx.config.boundary, lift, cfg.nu, budget=SmallnessBudget(
         alpha=DEFAULT_BUDGET_FIXTURE["alpha"], k_force=DEFAULT_BUDGET_FIXTURE["k_force"],
         m_radius=ctx.config.raw["verify"]["m_radius"]))
     # first, as it refuses (RegimeViolation) data outside the budget
@@ -539,6 +513,10 @@ def run(config):
         for g in gates:
             print(g.line())
         code = 0 if manifest["passed"] else 1
+    except ConfigError as exc:
+        manifest["config_error"] = str(exc)
+        print(f"config error: {exc}", file=sys.stderr)
+        code = 2
     except RegimeViolation as exc:
         manifest["regime_violation"] = str(exc)
         print(f"out of regime: {exc}", file=sys.stderr)
@@ -579,7 +557,7 @@ def main(argv=None):
                 f"config names experiment {config.experiment!r} but the "
                 f"subcommand is {args.command!r}")
         code, _ = run(config)
-    except (ConfigFileError, ConfigError, InvalidBoundaryData) as exc:
+    except ConfigFileError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     return code

@@ -22,7 +22,7 @@ from .fields import (
     norm_l2,
     transport_stencils,
 )
-from .lift import compute_forcing
+from .lift import attached_forcing
 from .stokes import LerayProjector
 
 
@@ -235,7 +235,8 @@ def assemble_tensors(basis, lift, nu=None):
     advect(w_l, G) for D and advect(G, w_l) for E, against every mode,
     since G has no mirror parity.  Working memory beyond the basis is
     block-sized: it does not grow with m*N.  `nu` is needed exactly when
-    the lift's forcing has not been attached yet.  The sweep's arrays are
+    the lift's forcing has not been attached yet; a forcing attached at
+    another nu raises ValueError.  The sweep's arrays are
     released before `Tensors` packs W: packed beside them, W raised the
     peak memory of a 48/64 run by up to 4 MB.
     """
@@ -250,10 +251,7 @@ def _sweep(basis, lift, nu):
     w2 = g.h**2
     order, rows = _class_order(basis)
 
-    if lift.f_eps is None:
-        if nu is None:
-            raise ValueError("lift has no forcing attached; pass nu")
-        compute_forcing(lift, nu)
+    forcing = attached_forcing(lift, nu)
 
     # everything below runs in class order and is put back in mode order last,
     # except t1: it is written in mode order, since a reordered copy would hold
@@ -300,7 +298,7 @@ def _sweep(basis, lift, nu):
     b *= 0.5
     pair = np.ix_(mode_order, mode_order)
     return (b, 0.5 * (s - r)[pair], 0.5 * (half - half.T)[pair],
-            w2 * (flat @ _flat(lift.f_eps))[mode_order], lam)
+            w2 * (flat @ _flat(forcing))[mode_order], lam)
 
 
 # ---------------------------------------------------------------------------

@@ -297,7 +297,8 @@ def cutoff(epsilon, grid):
 class LiftData:
     """Lift of steady wall data: stream function, field G, band measure.
 
-    `f_eps` is attached by compute_forcing (it needs the viscosity).
+    `f_eps` is attached by compute_forcing, with the viscosity `nu` it
+    was built at.
     """
 
     grid: Grid
@@ -307,6 +308,7 @@ class LiftData:
     beta: float
     f_eps: object = None
     boundary: object = None
+    nu: float = None
 
 
 def _masked_rot(psi, theta):
@@ -405,9 +407,25 @@ def compute_forcing(lift, nu):
     """Forcing induced by the lift: nu lap G - (G.grad)G.
 
     The wall data is steady, so G has no time derivative.  The one
-    forcing field is cached on the lift.
+    forcing field is cached on the lift, with its nu.
     """
     lap = laplacian(lift.G_eps, bc="extrapolate")
     adv = advect(lift.G_eps, lift.G_eps)
     lift.f_eps = VectorField(lift.grid, nu * lap.u - adv.u, nu * lap.v - adv.v)
+    lift.nu = nu
+    return lift.f_eps
+
+
+def attached_forcing(lift, nu=None):
+    """The lift's forcing, built at `nu` if none is attached yet.
+
+    A forcing attached at another nu raises ValueError, since reusing it
+    would pair one viscosity's forcing with another's run.
+    """
+    if lift.f_eps is None:
+        if nu is None:
+            raise ValueError("lift has no forcing attached; pass nu")
+        return compute_forcing(lift, nu)
+    if nu is not None and nu != lift.nu:
+        raise ValueError(f"the lift's forcing was built at nu = {lift.nu}, not {nu}")
     return lift.f_eps

@@ -21,7 +21,7 @@ import warnings
 import numpy as np
 
 from .galerkin import GalerkinState, solve, vnorm
-from .lift import compute_forcing
+from .lift import attached_forcing
 from .fields import inner_l2
 from .verification import Gate, RegimeViolation, check_h1_bound
 
@@ -137,14 +137,14 @@ def validate_budget(boundary, lift, nu, budget=None):
 
     Report-only: fills the measured norms into the budget and returns
     it; callers that need enforcement check `budget.satisfied` (the
-    contraction measurement does).
+    contraction measurement does).  A lift forcing attached at another
+    nu raises ValueError.
     """
     if budget is None:
         budget = SmallnessBudget(**DEFAULT_BUDGET_FIXTURE)
-    if lift.f_eps is None:
-        compute_forcing(lift, nu)
+    f = attached_forcing(lift, nu)
     budget.g_norm = boundary_norm_proxy(boundary)
-    budget.f_norm = math.sqrt(inner_l2(lift.f_eps, lift.f_eps))
+    budget.f_norm = math.sqrt(inner_l2(f, f))
     budget.beta = lift.beta
     return budget
 

@@ -21,10 +21,10 @@ BUMP_AMP = 1e-2
 BUMP_EPS = 0.4
 
 
-def build_zero_lift(grid):
-    """The lift of no wall data, forcing attached: G, f and beta are all zero."""
+def build_zero_lift(grid, nu=1.0):
+    """The lift of no wall data, forcing attached at nu: G, f and beta are all zero."""
     lift = build_lift(BoundaryData(grid, {}), BUMP_EPS, grid)
-    compute_forcing(lift, 1.0)
+    compute_forcing(lift, nu)
     return lift
 
 

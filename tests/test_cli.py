@@ -170,21 +170,56 @@ def test_bad_boundary_table_is_a_config_error(tmp_path, capsys, content):
     assert "config error" in err and str(table) in err, err
 
 
-@pytest.mark.parametrize("exp, text, needle", [
-    ("solve", "experiment: solve\nsolver: {nu: [1.0\n", "config is not valid YAML"),
-    ("solve", "experiment: bogus\n", "experiment: must be one of"),
-    ("lift", "experiment: lift\n", "boundary: the lift experiment needs wall data"),
-    ("reproductive", "experiment: reproductive\nboundary: {amplitude: 0.01}\n",
-     "boundary: the reproductive experiment needs wall data")],
+SMALL = "solver: {nx: 24, m: 6, T: 0.05}\n"
+
+
+@pytest.mark.parametrize("exp, text, table, needle", [
+    ("solve", "experiment: solve\nsolver: {nu: [1.0\n", None, "config is not valid YAML"),
+    ("solve", "experiment: bogus\n", None,
+     "experiment: expected one of eigs, lift, solve, verify, stability, reproductive, "
+     "got 'bogus'"),
+    ("lift", "experiment: lift\n", None, "boundary: the lift experiment needs wall data"),
+    ("reproductive", "experiment: reproductive\nboundary: {amplitude: 0.01}\n", None,
+     "boundary: the reproductive experiment needs wall data"),
+    ("solve", "experiment: solve\n" + SMALL + "boundary: {profile: bottom_bumb}\n", None,
+     "boundary.profile: unknown profile 'bottom_bumb'"),
+    ("solve", "experiment: solve\n" + SMALL + "boundary: {table: walls.txt}\n",
+     "0.5 abc\n", "walls.txt: not a readable numeric table"),
+    # s = 0.02 puts wall speed on node 1 of the bottom wall, a cell from the corner
+    ("solve", "experiment: solve\n" + SMALL + "boundary: {table: walls.txt}\n",
+     "0.0 0\n0.02 1.0\n0.5 0\n3.9 0\n",
+     "boundary.table: wall 'bottom': sample 1 is 1 cells from a corner"),
+    ("reproductive", "experiment: reproductive\n" + SMALL
+     + "boundary: {profile: bottom_bump}\nreproductive: {tol: 0}\n", None,
+     "reproductive.tol: expected a positive number, got 0.0"),
+    ("solve", "experiment: solve\nsolver: {nx: 8, m: 13}\n", None,
+     "solver.m: m = 13 exceeds the spectral-accuracy cap 12")],
     ids=["invalid_yaml", "unknown_experiment", "lift_without_walls",
-         "reproductive_without_walls"])
-def test_config_refusals_name_the_problem(tmp_path, capsys, exp, text, needle):
+         "reproductive_without_walls", "unknown_profile", "non_numeric_table",
+         "table_inside_corner_margin", "tol_zero", "modes_over_cap"])
+def test_config_refusals_name_the_problem(tmp_path, capsys, exp, text, table, needle):
+    # every refusal comes before the output directory, cache included, is made
     path = tmp_path / "run.yaml"
     path.write_text(text)
+    if table is not None:
+        (tmp_path / "walls.txt").write_text(table)
     assert main([exp, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and needle in err, err
     assert not (tmp_path / "out").exists()
+
+
+def test_refusal_during_the_run_writes_a_manifest(tmp_path, capsys):
+    # a start this large breaks the explicit dt bound, which only the run can check
+    out = tmp_path / "out"
+    path = write_config(tmp_path, out=str(out), initial={"kind": "ball", "radius": 1000.0})
+    assert main(["solve", "--config", path]) == 2
+    assert "config error: dt = 0.001 exceeds the explicit stability bound" in (
+        capsys.readouterr().err)
+    man = read_manifest(str(out))
+    assert man["passed"] is False
+    assert man["config_error"].startswith("dt = 0.001 exceeds the explicit stability bound")
+    assert "manifest.json" in man["outputs"]
 
 
 def test_config_hash_covers_the_table_bytes(tmp_path, capsys):

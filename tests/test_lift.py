@@ -13,6 +13,7 @@ import scipy.sparse.linalg
 
 from reproflow import lift as lift_module
 from reproflow.fields import Grid, divergence, norm_l2, tangential_trace
+from reproflow.galerkin import assemble_tensors
 from reproflow.lift import (
     WALLS,
     BoundaryData,
@@ -28,6 +29,8 @@ from reproflow.lift import (
     load_boundary_table,
     verify_smallness,
 )
+from reproflow.reproductive import validate_budget
+from reproflow.stokes import compute_eigenbasis
 
 EPS_SWEEP = (0.4, 0.2, 0.1, 0.05)
 
@@ -231,6 +234,23 @@ def test_forcing_scales_linearly_at_small_amplitude():
     ratio = norms[1] / norms[0]
     print(f"|f(2a)| / |f(a)| = {ratio:.6f}")
     assert ratio == pytest.approx(2.0, abs=1e-3)
+
+
+def test_forcing_of_another_viscosity_is_refused(tmp_path):
+    # the lift keeps one forcing; reused under another nu it gave assembly
+    # nu = 1's F for a nu = 0.1 run, and the budget an f_norm 10x low
+    grid = Grid("square", 24)
+    basis = compute_eigenbasis(grid, 6, cache_dir=str(tmp_path))
+    g = boundary_profile(grid, "bottom_bump", amplitude=1.0)
+    lift = build_lift(g, 0.4, grid)
+    compute_forcing(lift, 1.0)
+    with pytest.raises(ValueError, match="built at nu = 1.0, not 0.1"):
+        assemble_tensors(basis, lift, nu=0.1)
+    f_norm = validate_budget(g, lift, nu=1.0).f_norm
+    compute_forcing(lift, 0.1)
+    with pytest.raises(ValueError, match="built at nu = 0.1, not 1.0"):
+        validate_budget(g, lift, nu=1.0)
+    assert validate_budget(g, lift, nu=0.1).f_norm < 0.2 * f_norm
 
 
 def test_counter_walls_profile():

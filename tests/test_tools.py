@@ -9,7 +9,8 @@ tracer in `bench/spans.py` patches must exist, so that a library rename
 breaks this suite and not only the benchmark.  The report APIs the
 workloads judge by (`passed`, `passed(tol)`, `converged`) are reached
 through objects, not names, so one iteration of each verifying workload
-is run and must pass its own checks.  Every script that the library, the
+is run and must pass its own checks; the CLI suite is only set up, which
+parses the configs it runs.  Every script that the library, the
 tests or the READMEs name must exist.
 """
 
@@ -121,15 +122,27 @@ def test_bench_uses_existing_library_names():
             f"spans.TARGETS: {module} has no {attr}")
 
 
-@pytest.mark.parametrize("name", ["trajectory", "period_map"])
-def test_bench_workload_iteration_passes_its_checks(name, tmp_path, monkeypatch):
+def _bench_workload(name, tmp_path, monkeypatch):
+    """The set-up of one workload of bench/workload.py, in tmp_path."""
     monkeypatch.syspath_prepend(str(BENCH))  # workload.py imports its sibling spans.py
     spec = importlib.util.spec_from_file_location("bench_workload", BENCH / "workload.py")
     workload = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workload)
     workload._import_library()
-    runner = workload.WORKLOADS[name](workload.Context(name, 0, str(tmp_path)))
+    return workload.WORKLOADS[name](workload.Context(name, 0, str(tmp_path)))
+
+
+@pytest.mark.parametrize("name", ["trajectory", "period_map"])
+def test_bench_workload_iteration_passes_its_checks(name, tmp_path, monkeypatch):
+    runner = _bench_workload(name, tmp_path, monkeypatch)
     assert runner.check(runner.iterate(0, None)) == []
+
+
+def test_bench_cli_suite_configs_parse(tmp_path, monkeypatch):
+    # set-up only: it writes and parses the six configs the suite runs,
+    # so a schema change that the CLI would refuse them under fails here
+    runner = _bench_workload("cli_suite", tmp_path, monkeypatch)
+    assert len(runner.configs) == 6
 
 
 def test_named_tool_scripts_exist():
