@@ -10,8 +10,9 @@ The effective config — defaults filled in — is written next to the
 results, so a run directory is self-describing.  Every run ends with an
 atomically written ``manifest.json`` listing the config hash, code
 version, basis cache key, wall-clock, every output file, every gate
-(value, bound, margin, verdict) and ``passed``, their conjunction, or a
-``config_error`` the run itself found (the explicit dt bound).
+(value, bound, margin, verdict) and ``passed``, their conjunction (a
+refused run lists its failed regime gates), or a ``config_error`` the
+run itself found (the explicit dt bound).
 
 Exit codes: 0 every gate passed; 1 a gate failed or a monitor refused
 to judge (out of regime); 2 usage or config error; 3 numerical failure
@@ -60,7 +61,6 @@ from .lift import (
 from .reproductive import (
     DEFAULT_BUDGET_FIXTURE,
     NonConvergence,
-    SmallnessBudget,
     find_reproductive,
     measure_contraction,
     validate_budget,
@@ -442,9 +442,8 @@ def _run_reproductive(ctx):
     rcfg = ctx.config.raw["reproductive"]
     basis, lift, tensors, _ = ctx.pipeline()
 
-    budget = validate_budget(ctx.config.boundary, lift, cfg.nu, budget=SmallnessBudget(
-        alpha=DEFAULT_BUDGET_FIXTURE["alpha"], k_force=DEFAULT_BUDGET_FIXTURE["k_force"],
-        m_radius=ctx.config.raw["verify"]["m_radius"]))
+    budget = validate_budget(ctx.config.boundary, lift, cfg.nu,
+                             m_radius=ctx.config.raw["verify"]["m_radius"])
     # first, as it refuses (RegimeViolation) data outside the budget
     contraction = measure_contraction(cfg, lift, basis, pairs=rcfg["pairs"],
                                       seed=ctx.config.seed, budget=budget, tensors=tensors)
@@ -458,10 +457,10 @@ def _run_reproductive(ctx):
             for k, r in enumerate(report.residuals)]
     write_csv(ctx.path("residuals.csv"), ["iteration", "residual", "ratio"], rows)
     save_vector(ctx.path("v0_reproductive.npz"), report.v0)
-    return report.gates() + contraction.gates(), {
+    return budget.gates() + report.gates() + contraction.gates(), {
         "iterations": report.n_iterations, "residuals": report.residuals,
         "l2_closure": report.l2_closure, "envelope": contraction.envelope,
-        "budget": dataclasses.asdict(budget)}
+        "beta": budget.beta, "m_radius": budget.m_radius}
 
 
 RUNNERS = {
@@ -488,6 +487,10 @@ def _config_hash(config):
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
+def _gate_record(gate):
+    return {**dataclasses.asdict(gate), "margin": gate.margin, "passed": gate.passed}
+
+
 def run(config):
     """Execute one experiment; returns (exit_code, manifest_dict)."""
     ctx = RunContext(config)
@@ -507,8 +510,7 @@ def run(config):
     started = time.monotonic()
     try:
         gates, manifest["summary"] = RUNNERS[config.experiment](ctx)
-        manifest["gates"] = [{**dataclasses.asdict(g), "margin": g.margin,
-                              "passed": g.passed} for g in gates]
+        manifest["gates"] = [_gate_record(g) for g in gates]
         manifest["passed"] = all(g.passed for g in gates)
         for g in gates:
             print(g.line())
@@ -518,6 +520,7 @@ def run(config):
         print(f"config error: {exc}", file=sys.stderr)
         code = 2
     except RegimeViolation as exc:
+        manifest["gates"] = [_gate_record(g) for g in exc.gates]
         manifest["regime_violation"] = str(exc)
         print(f"out of regime: {exc}", file=sys.stderr)
         code = 1

@@ -412,7 +412,8 @@ def solve(config, u0, lift, basis, tensors=None):
     check_dt_bound(config, tensors, u0.c)
 
     n = config.n_steps()
-    fsq = np.full(n + 1, inner_l2(lift.f_eps, lift.f_eps))
+    forcing = attached_forcing(lift, config.nu)
+    fsq = np.full(n + 1, inner_l2(forcing, forcing))
 
     times = np.arange(n + 1) * config.dt
     coeffs = np.empty((n + 1,) + u0.c.shape)

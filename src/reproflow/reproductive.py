@@ -8,7 +8,8 @@ reconstructed flow started there is reproductive.
 
 Smallness is enforced through an explicit budget (bound on the wall
 data, on the lift forcing, and a ball radius for the state) that is
-*measured* against the run, never assumed.  The budget numbers for the
+*measured* against the run, never assumed, and judged by the budget's
+gates, which `measure_contraction` requires.  The budget numbers for the
 standard fixture are empirical: the underlying constants are not
 computable from first principles, so they are calibrated once per
 grid / viscosity and stored here; tests/test_reproductive.py asserts them.
@@ -23,7 +24,7 @@ import numpy as np
 from .galerkin import GalerkinState, solve, vnorm
 from .lift import attached_forcing
 from .fields import inner_l2
-from .verification import Gate, RegimeViolation, check_h1_bound
+from .verification import Gate, check_h1_bound, require
 
 
 class NonConvergence(RuntimeError):
@@ -52,39 +53,26 @@ DEFAULT_BUDGET_FIXTURE = {
 CONTRACTION_TOL = 0.1  # share by which a contraction ratio may exceed exp(-nu T)
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class SmallnessBudget:
     """Bounds the small-data regime is calibrated to, plus the measurements.
 
     alpha bounds the wall-data norm proxy, k_force the L2 norm of the
     lift forcing, m_radius the V-norm ball the state must stay in.  The
-    measured fields are filled in by validate_budget.
+    measured norms come from validate_budget; unmeasured, they are NaN.
     """
 
     alpha: float
     k_force: float
     m_radius: float
-    g_norm: float = None
-    f_norm: float = None
-    beta: float = None
+    g_norm: float = math.nan
+    f_norm: float = math.nan
+    beta: float = math.nan
 
-    @property
-    def satisfied(self):
-        if self.g_norm is None or self.f_norm is None:
-            return False
-        return self.g_norm <= self.alpha and self.f_norm <= self.k_force
-
-    def lines(self):
-        def judged(value, bound):
-            if value is None:
-                return "not measured,"
-            return f"{value:.6e} {'within' if value <= bound else 'EXCEEDS'}"
-        beta = "not measured" if self.beta is None else f"{self.beta:.3e}"
-        return [
-            f"wall-data norm {judged(self.g_norm, self.alpha)} alpha = {self.alpha:.3e}",
-            f"forcing norm {judged(self.f_norm, self.k_force)} K = {self.k_force:.3e}",
-            f"ball radius M = {self.m_radius:.3e} (beta = {beta})",
-        ]
+    def gates(self):
+        """Wall-data norm within alpha, forcing norm within K; an unmeasured norm fails."""
+        return [Gate("wall-data-norm", self.g_norm, self.alpha),
+                Gate("forcing-norm", self.f_norm, self.k_force)]
 
 
 @dataclasses.dataclass
@@ -132,35 +120,31 @@ def boundary_norm_proxy(boundary):
     return math.sqrt(sq) + math.sqrt(dsq)
 
 
-def validate_budget(boundary, lift, nu, budget=None):
-    """Measure the run's data against the calibrated smallness budget.
+def validate_budget(boundary, lift, nu, m_radius=DEFAULT_BUDGET_FIXTURE["m_radius"]):
+    """The calibrated smallness budget, with ball m_radius, measured on the run's data.
 
-    Report-only: fills the measured norms into the budget and returns
-    it; callers that need enforcement check `budget.satisfied` (the
-    contraction measurement does).  A lift forcing attached at another
-    nu raises ValueError.
+    Report-only: callers that need enforcement require `budget.gates()`
+    (the contraction measurement does).  A lift forcing attached at
+    another nu raises ValueError.
     """
-    if budget is None:
-        budget = SmallnessBudget(**DEFAULT_BUDGET_FIXTURE)
     f = attached_forcing(lift, nu)
-    budget.g_norm = boundary_norm_proxy(boundary)
-    budget.f_norm = math.sqrt(inner_l2(f, f))
-    budget.beta = lift.beta
-    return budget
+    return SmallnessBudget(**{**DEFAULT_BUDGET_FIXTURE, "m_radius": m_radius},
+                           g_norm=boundary_norm_proxy(boundary),
+                           f_norm=math.sqrt(inner_l2(f, f)), beta=lift.beta)
 
 
 def map_L(u0, config, lift, basis, *, tensors, m_radius=None):
     """The period map: state at t = T of the solve from u0 (a row per start of a stack).
 
-    Warns (BallExit) when `check_h1_bound` finds the trajectory outside
-    the ball of radius m_radius; the warning carries the measured supremum.
+    Warns (BallExit) when the h1-ball gate of `check_h1_bound` finds the
+    trajectory outside the ball of radius m_radius; the warning is that
+    gate's line.
     """
     traj = solve(config, u0, lift, basis, tensors=tensors)
     if m_radius is not None:
-        ball = check_h1_bound(traj, m_radius)
+        ball = check_h1_bound(traj, m_radius).gate
         if not ball.passed:
-            warnings.warn(BallExit(f"sup_t ||u(t)|| = {ball.lhs.max():.6e} "
-                                   f"left the ball M = {m_radius:.6e}"))
+            warnings.warn(BallExit(ball.line()))
     return traj.state(traj.n_steps)
 
 
@@ -185,13 +169,10 @@ def measure_contraction(config, lift, basis, pairs=5, seed=0, *, budget, tensors
     B_M (uniform direction, radius up to M), applies the period map to
     both, and reports max ||L u0 - L y0|| / ||u0 - y0||.  The envelope
     the caller compares against is exp(-nu T).  Refuses to run
-    (RegimeViolation) when the measured data exceeds the budget, since
-    the contraction claim is only made in the small regime.
+    (RegimeViolation) when a budget gate fails, since the contraction
+    claim is only made in the small regime.
     """
-    if not budget.satisfied:
-        raise RegimeViolation(
-            "data exceeds the smallness budget; contraction is not claimed: "
-            + "; ".join(budget.lines()))
+    require(*budget.gates())
     lam = basis.eigenvalues
     rng = np.random.default_rng(seed)
     starts = np.empty((2 * pairs, len(lam)))

@@ -14,10 +14,11 @@ trajectories) and checks a discrete inequality:
 
 Monitors are pure over their trajectory inputs: same trajectory, same
 report.  Each verdict is a named `Gate`, a value against its bound, and
-each tolerance is a constant beside the check that owns it.  When a
-smallness precondition fails the monitor refuses to judge
-(RegimeViolation) instead of reporting a failure, because outside the
-regime the inequality is simply not claimed.
+each tolerance is a constant beside the check that owns it.  A smallness
+precondition is a gate too: when one fails the monitor refuses to judge
+(`require` raises RegimeViolation carrying the failed gates) instead of
+reporting a failure, because outside the regime the inequality is simply
+not claimed.
 """
 
 import dataclasses
@@ -32,10 +33,6 @@ ENERGY_TOL = 1e-8
 AUDIT_TOL = 1e-12
 STABILITY_TOL = 0.05  # share by which ||z|| may outgrow its exp(-nu t) envelope
 MONOTONE_ROUNDING = 1e-15  # rounding allowed on a step's growth of ||z||, relative to max(||z(0)||, 1)
-
-
-class RegimeViolation(RuntimeError):
-    """A monitor's smallness precondition does not hold for this run."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -59,6 +56,21 @@ class Gate:
     def line(self):
         return (f"{'pass' if self.passed else 'FAIL'}  {self.name}: {self.value:+.3e} "
                 f"{self.sense} {self.bound:.3e} (margin {self.margin:+.3e})")
+
+
+class RegimeViolation(RuntimeError):
+    """The smallness gates this run failed; the run is out of regime, not judged."""
+
+    def __init__(self, *gates):
+        super().__init__("; ".join(g.line() for g in gates))
+        self.gates = gates
+
+
+def require(*gates):
+    """Raise RegimeViolation with the gates that failed, if any did."""
+    failed = [g for g in gates if not g.passed]
+    if failed:
+        raise RegimeViolation(*failed)
 
 
 @dataclasses.dataclass
@@ -118,15 +130,12 @@ def check_energy_inequality(traj, nu, c_omega, beta=0.0, kappa=0.0, tol=ENERGY_T
             <= (1/(nu c_omega^2)) |f_{n+1}|^2 + tol + kappa*dt .
 
     `beta` is the run's lift-smallness number; the estimate is only
-    derived for beta <= nu/4, so larger values raise RegimeViolation
-    rather than judging the run.  `kappa` is the dt-slack rate from
-    `calibrate_slack` (zero is legitimate for comfortably non-tight
-    runs).
+    derived for beta <= nu/4 (the lift-smallness gate), so a larger or
+    NaN beta raises RegimeViolation rather than judging the run.
+    `kappa` is the dt-slack rate from `calibrate_slack` (zero is
+    legitimate for comfortably non-tight runs).
     """
-    if beta > 0.25 * nu:
-        raise RegimeViolation(
-            f"lift smallness beta = {beta:.3e} exceeds nu/4 = {0.25 * nu:.3e}; "
-            f"the energy estimate is not claimed in this regime")
+    require(Gate("lift-smallness", beta, 0.25 * nu))
     dt = traj.dt
     l2, h1, fsq = traj.l2sq, traj.h1sq, traj.f_l2sq
     lhs = (l2[1:] - l2[:-1]) / dt + 0.5 * nu * h1[1:]
@@ -222,15 +231,12 @@ def stability_experiment(config, v0, w0, lift, basis, *, tensors, m_radius):
     (V-norm) to ||z(0)|| exp(-nu t_n), plus whether the norm sequence is
     monotone non-increasing.  The ratio is 0 wherever the envelope is,
     so identical states are reported with ratio 0 rather than 0/0.  A run
-    leaving the ball of radius m_radius (`check_h1_bound`) is a RegimeViolation.
+    leaving the ball of radius m_radius (the h1-ball gate of
+    `check_h1_bound`) is a RegimeViolation.
     """
     traj = solve(config, GalerkinState(0.0, np.stack([v0.c, w0.c])), lift, basis,
                  tensors=tensors)
-
-    ball = check_h1_bound(traj, m_radius)
-    if not ball.passed:
-        raise RegimeViolation(f"sup ||u|| = {ball.lhs.max():.3e} leaves "
-                              f"the smallness ball {m_radius:.3e}")
+    require(check_h1_bound(traj, m_radius).gate)
 
     z_norms = vnorm(traj.coeffs[:, 0] - traj.coeffs[:, 1], traj.lam)
     envelope = z_norms[0] * np.exp(-config.nu * traj.times)

@@ -34,6 +34,7 @@ from reproflow.verification import (
     calibrate_slack,
     check_energy_inequality,
     poincare_constant,
+    require,
     stability_experiment,
 )
 
@@ -87,7 +88,7 @@ def test_criterion_2_contraction_envelope(config48, bump48, lift48, basis48,
                                           tensors48):
     t0 = time.monotonic()
     budget = validate_budget(bump48, lift48, nu=config48.nu)
-    assert budget.satisfied, budget.lines()
+    require(*budget.gates())  # in budget, or RegimeViolation lists the failed gates
     report = measure_contraction(config48, lift48, basis48, pairs=5, seed=0,
                                  budget=budget, tensors=tensors48)
     elapsed = time.monotonic() - t0
@@ -128,7 +129,7 @@ def test_criterion_4_energy_inequality(config48, bump48, lift48, zero_lift48, ba
     lam = basis48.eigenvalues
     c_omega = poincare_constant(basis48)
     budget = validate_budget(bump48, lift48, nu=config48.nu)
-    assert budget.satisfied, budget.lines()
+    require(*budget.gates())  # in budget, or RegimeViolation lists the failed gates
     zero = GalerkinState(0.0, np.zeros(lam.size))
     kappa = calibrate_slack(config48, zero, lift48, basis48, tensors48)
 

@@ -541,11 +541,11 @@ def test_reproductive_run_and_budget_gate(tmp_path, capsys):
     man = read_manifest(out)
     assert gates_of(man)["picard-residual"]["passed"]
     assert os.path.exists(os.path.join(out, "v0_reproductive.npz"))
-    # the measured smallness budget is kept with its bounds
-    budget = man["summary"]["budget"]
-    assert 0 < budget["g_norm"] <= budget["alpha"]
-    assert 0 < budget["f_norm"] <= budget["k_force"]
-    assert budget["beta"] > 0
+    # the measured smallness budget is judged by its gates, ahead of Picard's
+    gates = gates_of(man)
+    for name in ("wall-data-norm", "forcing-norm"):
+        assert gates[name]["passed"] and 0 < gates[name]["value"] <= gates[name]["bound"]
+    assert man["summary"]["beta"] > 0 and man["summary"]["m_radius"] == 0.05
 
     again = str(tmp_path / "rep_again")
     assert main(["reproductive", "--config", path, "--out", again]) == 0
@@ -576,6 +576,28 @@ def test_reproductive_run_and_budget_gate(tmp_path, capsys):
     man2 = read_manifest(hot)
     assert not man2["passed"]
     assert "regime_violation" in man2
+
+
+@pytest.mark.parametrize("exp, overrides, failed", [
+    ("verify", {"boundary": {"profile": "bottom_bump", "amplitude": 2.0}},
+     ["lift-smallness"]),
+    ("stability", {"initial": {"kind": "ball", "radius": 0.2}}, ["h1-ball"]),
+    ("reproductive", {"boundary": {"profile": "bottom_bump", "amplitude": 5.0}},
+     ["wall-data-norm", "forcing-norm"]),
+], ids=["verify", "stability", "reproductive"])
+def test_refusal_records_its_failed_gates(tmp_path, capsys, exp, overrides, failed):
+    out = str(tmp_path / "out")
+    path = write_config(tmp_path, experiment=exp, out=out,
+                        solver={"nx": 32, "m": 8}, **overrides)
+    assert main([exp, "--config", path]) == 1
+    err = capsys.readouterr().err
+    man = read_manifest(out)
+    assert man["passed"] is False
+    assert [g["name"] for g in man["gates"]] == failed
+    for g in man["gates"]:
+        assert g["passed"] is False and g["margin"] == g["bound"] - g["value"] < 0
+        line = Gate(g["name"], g["value"], g["bound"], g["sense"]).line()
+        assert line in man["regime_violation"] and line in err
 
 
 def test_rerun_is_byte_identical(tmp_path, capsys):
@@ -618,7 +640,8 @@ GATES = {
     "solve": [],
     "verify": ["energy", "h1-ball", "tensor-audit"],
     "stability": ["stability-ratio", "stability-monotone"],
-    "reproductive": ["picard-residual", "picard-ratio", "contraction-ratio"],
+    "reproductive": ["wall-data-norm", "forcing-norm", "picard-residual", "picard-ratio",
+                     "contraction-ratio"],
 }
 
 

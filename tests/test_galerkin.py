@@ -321,10 +321,10 @@ def test_step_is_second_order():
     # self-convergence against a 4096-step reference on a nonlinear run
     grid = Grid("square", 16)
     basis = compute_eigenbasis(grid, 8)
-    lift = build_zero_lift(grid)
+    nu, T = 0.2, 0.25
+    lift = build_zero_lift(grid, nu=nu)
     tensors = assemble_tensors(basis, lift)
     c0 = np.array([0.9, 0.0, 0.0, 0.0, 0.5, 0.0, -0.3, 0.0])
-    nu, T = 0.2, 0.25
 
     def run(n):
         cfg = SolverConfig(nu=nu, T=T, dt=T / n, m=8, epsilon=0.4, nx=16)
@@ -347,7 +347,7 @@ def test_linear_only_system_is_exact():
     cfg = SolverConfig(nu=0.7, T=1.0, dt=0.25, m=m, epsilon=0.4, nx=8)
     c0 = np.array([1.0, -2.0, 0.5, 3.0])
     grid = Grid("square", 8)
-    traj = solve(cfg, GalerkinState(0.0, c0), build_zero_lift(grid),
+    traj = solve(cfg, GalerkinState(0.0, c0), build_zero_lift(grid, nu=cfg.nu),
                  compute_eigenbasis(grid, 4), tensors=tensors)
     want = c0 * np.exp(-0.7 * lam * 1.0)
     dev = np.abs(traj.coeffs[-1] - want).max()

@@ -13,7 +13,7 @@ import scipy.sparse.linalg
 
 from reproflow import lift as lift_module
 from reproflow.fields import Grid, divergence, norm_l2, tangential_trace
-from reproflow.galerkin import assemble_tensors
+from reproflow.galerkin import GalerkinState, SolverConfig, assemble_tensors, solve
 from reproflow.lift import (
     WALLS,
     BoundaryData,
@@ -238,7 +238,8 @@ def test_forcing_scales_linearly_at_small_amplitude():
 
 def test_forcing_of_another_viscosity_is_refused(tmp_path):
     # the lift keeps one forcing; reused under another nu it gave assembly
-    # nu = 1's F for a nu = 0.1 run, and the budget an f_norm 10x low
+    # nu = 1's F for a nu = 0.1 run, the solve an f_l2sq of 2163 for 21.6,
+    # and the budget an f_norm 10x low
     grid = Grid("square", 24)
     basis = compute_eigenbasis(grid, 6, cache_dir=str(tmp_path))
     g = boundary_profile(grid, "bottom_bump", amplitude=1.0)
@@ -246,6 +247,10 @@ def test_forcing_of_another_viscosity_is_refused(tmp_path):
     compute_forcing(lift, 1.0)
     with pytest.raises(ValueError, match="built at nu = 1.0, not 0.1"):
         assemble_tensors(basis, lift, nu=0.1)
+    cfg = SolverConfig(nu=0.1, T=0.05, dt=1e-3, m=6, epsilon=0.4, nx=24)
+    with pytest.raises(ValueError, match="built at nu = 1.0, not 0.1"):
+        solve(cfg, GalerkinState(0.0, np.zeros(6)), lift, basis,
+              tensors=assemble_tensors(basis, lift, nu=1.0))
     f_norm = validate_budget(g, lift, nu=1.0).f_norm
     compute_forcing(lift, 0.1)
     with pytest.raises(ValueError, match="built at nu = 0.1, not 1.0"):

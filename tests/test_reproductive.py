@@ -39,9 +39,12 @@ def test_boundary_norm_proxy_frozen(bump48):
 
 def test_budget_measurements_and_satisfaction(bump48, lift48):
     budget = validate_budget(bump48, lift48, nu=1.0)
-    for line in budget.lines():
-        print(line)
-    assert budget.satisfied
+    gates = budget.gates()
+    for gate in gates:
+        print(gate.line())
+    assert [g.name for g in gates] == ["wall-data-norm", "forcing-norm"]
+    assert all(g.passed for g in gates)
+    assert budget.m_radius == DEFAULT_BUDGET_FIXTURE["m_radius"]
     assert budget.g_norm == pytest.approx(3.50480501e-2, rel=1e-6)
     assert budget.f_norm == pytest.approx(9.69904179e-1, rel=1e-6)
     assert budget.beta == pytest.approx(1.61254578e-3, rel=1e-6)
@@ -70,7 +73,7 @@ def test_budget_rejects_loud_data(square48):
     g = boundary_profile(square48, "bottom_bump", amplitude=5.0)
     lift = build_lift(g, 0.4, square48)
     budget = validate_budget(g, lift, nu=1.0)
-    assert not budget.satisfied
+    assert not any(gate.passed for gate in budget.gates())
 
 
 def test_map_l_matches_linear_decay(basis32, zero_lift32):
@@ -164,11 +167,13 @@ def test_contraction_regime_gate(config32, lift32, basis32, tensors32):
 
 
 def test_contraction_refuses_an_unmeasured_budget(config32, lift32, basis32, tensors32):
+    # an unmeasured norm is NaN, which no gate passes
     unmeasured = SmallnessBudget(0.05, 1.5, 0.05)
-    assert "not measured" in unmeasured.lines()[0]
-    with pytest.raises(RegimeViolation, match="not measured"):
+    with pytest.raises(RegimeViolation, match=r"FAIL  wall-data-norm: \+nan") as refused:
         measure_contraction(config32, lift32, basis32, budget=unmeasured,
                             tensors=tensors32)
+    assert [g.name for g in refused.value.gates] == ["wall-data-norm", "forcing-norm"]
+    assert all(np.isnan(g.value) for g in refused.value.gates)
 
 
 def test_find_reproductive_converges(config32, lift32, basis32, tensors32):

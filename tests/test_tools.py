@@ -132,7 +132,7 @@ def _bench_workload(name, tmp_path, monkeypatch):
     return workload.WORKLOADS[name](workload.Context(name, 0, str(tmp_path)))
 
 
-@pytest.mark.parametrize("name", ["trajectory", "period_map"])
+@pytest.mark.parametrize("name", ["trajectory", "cold_build", "period_map"])
 def test_bench_workload_iteration_passes_its_checks(name, tmp_path, monkeypatch):
     runner = _bench_workload(name, tmp_path, monkeypatch)
     assert runner.check(runner.iterate(0, None)) == []

@@ -89,10 +89,15 @@ def test_zero_data_violations_are_exactly_zero(config32, basis32, zero_lift32):
     assert np.all(report.lhs == 0.0) and np.all(report.rhs == 0.0)
 
 
-def test_beta_gate_refuses_to_judge(bump_traj, basis32):
-    with pytest.raises(RegimeViolation):
+@pytest.mark.parametrize("beta", [0.1, np.nan])
+def test_beta_gate_refuses_to_judge(bump_traj, basis32, beta):
+    # beta above nu/4 is out of regime, and a NaN beta passes no gate
+    with pytest.raises(RegimeViolation) as refused:
         check_energy_inequality(bump_traj, 0.1, poincare_constant(basis32),
-                                beta=0.1)
+                                beta=beta)
+    [gate] = refused.value.gates
+    assert gate.name == "lift-smallness" and gate.bound == 0.25 * 0.1
+    assert str(refused.value) == gate.line()
 
 
 def test_h1_ball_monitor(bump_traj):
