@@ -59,7 +59,7 @@ from .lift import (
     verify_smallness,
 )
 from .reproductive import (
-    DEFAULT_BUDGET_FIXTURE,
+    M_RADIUS,
     NonConvergence,
     find_reproductive,
     measure_contraction,
@@ -127,7 +127,7 @@ SCHEMA = {
         # tests/test_verification.py::test_kappa_default_is_the_calibrated_rate
         "kappa": (3.00531870e-3, float, None),
         # the smallness ball B_M of verify, stability and reproductive
-        "m_radius": (DEFAULT_BUDGET_FIXTURE["m_radius"], float, POSITIVE),
+        "m_radius": (M_RADIUS, float, POSITIVE),
     },
     "stability": {
         "perturbation": (1e-4, float, POSITIVE),
@@ -460,7 +460,7 @@ def _run_reproductive(ctx):
     return budget.gates() + report.gates() + contraction.gates(), {
         "iterations": report.n_iterations, "residuals": report.residuals,
         "l2_closure": report.l2_closure, "envelope": contraction.envelope,
-        "beta": budget.beta, "m_radius": budget.m_radius}
+        "beta": lift.beta, "m_radius": budget.m_radius}
 
 
 RUNNERS = {

@@ -407,8 +407,12 @@ def compute_forcing(lift, nu):
     """Forcing induced by the lift: nu lap G - (G.grad)G.
 
     The wall data is steady, so G has no time derivative.  The one
-    forcing field is cached on the lift, with its nu.
+    forcing field is cached on the lift, with its nu; a lift holding a
+    forcing built at another nu raises ValueError, since tensors
+    assembled from the old one would still pass for the new.
     """
+    if lift.f_eps is not None and nu != lift.nu:
+        raise ValueError(f"the lift's forcing was built at nu = {lift.nu}, not {nu}")
     lap = laplacian(lift.G_eps, bc="extrapolate")
     adv = advect(lift.G_eps, lift.G_eps)
     lift.f_eps = VectorField(lift.grid, nu * lap.u - adv.u, nu * lap.v - adv.v)
@@ -422,10 +426,8 @@ def attached_forcing(lift, nu=None):
     A forcing attached at another nu raises ValueError, since reusing it
     would pair one viscosity's forcing with another's run.
     """
-    if lift.f_eps is None:
-        if nu is None:
+    if nu is None or nu == lift.nu:
+        if lift.f_eps is None:
             raise ValueError("lift has no forcing attached; pass nu")
-        return compute_forcing(lift, nu)
-    if nu is not None and nu != lift.nu:
-        raise ValueError(f"the lift's forcing was built at nu = {lift.nu}, not {nu}")
-    return lift.f_eps
+        return lift.f_eps
+    return compute_forcing(lift, nu)

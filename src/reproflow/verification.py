@@ -121,17 +121,17 @@ def poincare_constant(basis):
     return 1.0 / np.sqrt(float(basis.eigenvalues[0]))
 
 
-def check_energy_inequality(traj, nu, c_omega, beta=0.0, kappa=0.0, tol=ENERGY_TOL):
+def check_energy_inequality(traj, nu, c_omega, beta, kappa=0.0):
     """Per-step energy balance monitor.
 
     Checks, for every step n,
 
         (|u_{n+1}|^2 - |u_n|^2)/dt + (nu/2) ||u_{n+1}||^2
-            <= (1/(nu c_omega^2)) |f_{n+1}|^2 + tol + kappa*dt .
+            <= (1/(nu c_omega^2)) |f_{n+1}|^2 + ENERGY_TOL + kappa*dt .
 
-    `beta` is the run's lift-smallness number; the estimate is only
-    derived for beta <= nu/4 (the lift-smallness gate), so a larger or
-    NaN beta raises RegimeViolation rather than judging the run.
+    `beta` is the run's lift-smallness number, required: the estimate is
+    only derived for beta <= nu/4 (the lift-smallness gate), so a larger
+    or NaN beta raises RegimeViolation rather than judging the run.
     `kappa` is the dt-slack rate from `calibrate_slack` (zero is
     legitimate for comfortably non-tight runs).
     """
@@ -140,7 +140,7 @@ def check_energy_inequality(traj, nu, c_omega, beta=0.0, kappa=0.0, tol=ENERGY_T
     l2, h1, fsq = traj.l2sq, traj.h1sq, traj.f_l2sq
     lhs = (l2[1:] - l2[:-1]) / dt + 0.5 * nu * h1[1:]
     rhs = fsq[1:] / (nu * c_omega**2)
-    return InequalityReport("energy", lhs, rhs, tol + kappa * dt)
+    return InequalityReport("energy", lhs, rhs, ENERGY_TOL + kappa * dt)
 
 
 def calibrate_slack(config, u0, lift, basis, tensors):
@@ -151,13 +151,16 @@ def calibrate_slack(config, u0, lift, basis, tensors):
     the difference to the O(dt) discretization of the time derivative:
 
         kappa = max(0, (viol(dt) - viol(dt/2)) / (dt - dt/2)).
+
+    The monitor judges the lift's beta, so data outside the small-data
+    regime raises RegimeViolation instead of calibrating a slack.
     """
     c_omega = poincare_constant(basis)
 
     def worst(cfg):
         traj = solve(cfg, GalerkinState(0.0, u0.c.copy()), lift, basis,
                      tensors=tensors)
-        return check_energy_inequality(traj, config.nu, c_omega).gate.value
+        return check_energy_inequality(traj, config.nu, c_omega, lift.beta).gate.value
 
     fine = dataclasses.replace(config, dt=config.dt / 2)
     v_coarse = worst(config)

@@ -15,7 +15,9 @@ from reproflow.galerkin import (
     vnorm,
 )
 from reproflow.reproductive import (
-    DEFAULT_BUDGET_FIXTURE,
+    ALPHA,
+    K_FORCE,
+    M_RADIUS,
     BallExit,
     NonConvergence,
     SmallnessBudget,
@@ -44,10 +46,10 @@ def test_budget_measurements_and_satisfaction(bump48, lift48):
         print(gate.line())
     assert [g.name for g in gates] == ["wall-data-norm", "forcing-norm"]
     assert all(g.passed for g in gates)
-    assert budget.m_radius == DEFAULT_BUDGET_FIXTURE["m_radius"]
+    assert budget.m_radius == M_RADIUS
     assert budget.g_norm == pytest.approx(3.50480501e-2, rel=1e-6)
     assert budget.f_norm == pytest.approx(9.69904179e-1, rel=1e-6)
-    assert budget.beta == pytest.approx(1.61254578e-3, rel=1e-6)
+    assert lift48.beta == pytest.approx(1.61254578e-3, rel=1e-6)
 
 
 def test_default_budget_fixture_holds_at_the_standard_fixture(config48, bump48, lift48,
@@ -57,12 +59,13 @@ def test_default_budget_fixture_holds_at_the_standard_fixture(config48, bump48, 
     draws = np.random.default_rng(11).standard_normal((3, lam.size))
     draws *= 0.05 / vnorm(draws, lam)[:, None]
     traj = solve(config48, GalerkinState(0.0, draws), lift48, basis48, tensors=tensors48)
-    ball = check_h1_bound(traj, DEFAULT_BUDGET_FIXTURE["m_radius"])
-    # alpha and K over the measured norms that test_budget_measurements_and_satisfaction pins
+    ball = check_h1_bound(traj, M_RADIUS)
+    # ALPHA and K_FORCE over the measured norms that
+    # test_budget_measurements_and_satisfaction pins
     budget = validate_budget(bump48, lift48, nu=1.0)
-    headroom = (budget.alpha / budget.g_norm, budget.k_force / budget.f_norm)
+    headroom = (ALPHA / budget.g_norm, K_FORCE / budget.f_norm)
     print(f"sup V-norm after t = 0: {ball.lhs[1:].max():.4e}; "
-          f"alpha and K headroom {headroom[0]:.3f}x, {headroom[1]:.3f}x")
+          f"ALPHA and K_FORCE headroom {headroom[0]:.3f}x, {headroom[1]:.3f}x")
     assert ball.passed and np.all(ball.lhs[0] <= budget.m_radius), ball.gate.line()
     assert all(1.4 <= h <= 1.6 for h in headroom)
 
@@ -88,7 +91,8 @@ def test_map_l_matches_linear_decay(basis32, zero_lift32):
     linear = Tensors(B=np.zeros((6, 6, 6)), D=np.zeros((6, 6)),
                      E=np.zeros((6, 6)), F=np.zeros(6), lam=lam)
     c0 = 1e-6 * np.ones(6)
-    out = map_L(GalerkinState(0.0, c0), cfg, zero_lift32, basis6, tensors=linear)
+    out = map_L(GalerkinState(0.0, c0), cfg, zero_lift32, basis6, tensors=linear,
+                m_radius=M_RADIUS)
     want = c0 * np.exp(-lam * 1.0)
     rel = np.abs(out.c / want - 1.0).max()
     print(f"map_L linear-decay relative deviation {rel:.3e}")
@@ -97,7 +101,7 @@ def test_map_l_matches_linear_decay(basis32, zero_lift32):
 
 def test_map_l_fixes_zero(config32, basis32, zero_lift32):
     out = map_L(GalerkinState(0.0, np.zeros(8)), config32, zero_lift32, basis32,
-                tensors=assemble_tensors(basis32, zero_lift32))
+                tensors=assemble_tensors(basis32, zero_lift32), m_radius=M_RADIUS)
     assert np.all(out.c == 0.0)
 
 
@@ -135,7 +139,8 @@ def _sequential_contraction_ratios(config, lift, basis, pairs, seed, m_radius, t
             c *= m_radius * rng.uniform(0.2, 1.0) / vnorm(c, lam)
             pair.append(GalerkinState(0.0, c))
         d0 = vnorm(pair[0].c - pair[1].c, lam)
-        lu, ly = (map_L(u, config, lift, basis, tensors=tensors) for u in pair)
+        lu, ly = (map_L(u, config, lift, basis, tensors=tensors, m_radius=m_radius)
+                  for u in pair)
         ratios.append(vnorm(lu.c - ly.c, lam) / d0)
     return ratios
 
@@ -159,16 +164,18 @@ def test_contraction_is_one_stacked_solve(monkeypatch, config32, lift32, basis32
 
 
 def test_contraction_regime_gate(config32, lift32, basis32, tensors32):
-    bad = SmallnessBudget(alpha=1e-9, k_force=1e-9, m_radius=0.05,
-                          g_norm=1.0, f_norm=1.0, beta=0.0)
-    with pytest.raises(RegimeViolation):
+    # norms past ALPHA and K_FORCE: refused, both gates listed
+    bad = SmallnessBudget(M_RADIUS, g_norm=2 * ALPHA, f_norm=2 * K_FORCE)
+    with pytest.raises(RegimeViolation) as refused:
         measure_contraction(config32, lift32, basis32, pairs=1, seed=0,
                             budget=bad, tensors=tensors32)
+    assert [(g.name, g.bound) for g in refused.value.gates] == [
+        ("wall-data-norm", ALPHA), ("forcing-norm", K_FORCE)]
 
 
 def test_contraction_refuses_an_unmeasured_budget(config32, lift32, basis32, tensors32):
     # an unmeasured norm is NaN, which no gate passes
-    unmeasured = SmallnessBudget(0.05, 1.5, 0.05)
+    unmeasured = SmallnessBudget(M_RADIUS)
     with pytest.raises(RegimeViolation, match=r"FAIL  wall-data-norm: \+nan") as refused:
         measure_contraction(config32, lift32, basis32, budget=unmeasured,
                             tensors=tensors32)
@@ -216,7 +223,8 @@ def test_reproductive_start_independence(config32, lift32, basis32, tensors32):
 
 def test_zero_data_fixed_point_is_rest(config32, basis32, zero_lift32):
     report = find_reproductive(config32, zero_lift32, basis32,
-                               tensors=assemble_tensors(basis32, zero_lift32))
+                               tensors=assemble_tensors(basis32, zero_lift32),
+                               m_radius=M_RADIUS)
     assert report.converged
     assert report.residuals == [0.0]
     assert np.all(report.state.c == 0.0)

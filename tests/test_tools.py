@@ -1,17 +1,15 @@
-"""The scripts under tools/ and the benchmark under bench/ still fit the library.
+"""The benchmark under bench/ and the README's example still fit the library.
 
-The scripts are not run: each is parsed, every name it imports from
-reproflow must resolve, and every call of an imported function must bind
-to its signature.  The benchmark
-is read the same way: the names `bench/workload.py` reaches through
+The benchmark is parsed: the names `bench/workload.py` reaches through
 ``from reproflow import (...)`` and the (module, attribute) pairs the
-tracer in `bench/spans.py` patches must exist, so that a library rename
+tracer in `bench/spans.py` patches must exist, and every call of an
+imported function must bind to its signature, so that a library rename
 breaks this suite and not only the benchmark.  The report APIs the
 workloads judge by (`passed`, `passed(tol)`, `converged`) are reached
 through objects, not names, so one iteration of each verifying workload
 is run and must pass its own checks; the CLI suite is only set up, which
-parses the configs it runs.  Every script that the library, the
-tests or the READMEs name must exist.
+parses the configs it runs.  The README's library example is run.  Every
+script that the library, the tests or the READMEs name must exist.
 """
 
 import ast
@@ -25,7 +23,6 @@ import types
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-TOOLS = sorted((ROOT / "tools").glob("*.py"))
 BENCH = ROOT / "bench"
 
 
@@ -97,13 +94,6 @@ def _check_library_calls(label, tree, resolved):
     return bound
 
 
-@pytest.mark.parametrize("script", TOOLS, ids=lambda p: p.name)
-def test_tool_imports_resolve(script):
-    tree = ast.parse(script.read_text(), filename=str(script))
-    assert _check_library_calls(script.name, tree,
-                                _resolve(script.name, _library_imports(tree))) > 0
-
-
 def test_bench_uses_existing_library_names():
     path = BENCH / "workload.py"
     tree = ast.parse(path.read_text(), filename=str(path))
@@ -143,6 +133,16 @@ def test_bench_cli_suite_configs_parse(tmp_path, monkeypatch):
     # so a schema change that the CLI would refuse them under fails here
     runner = _bench_workload("cli_suite", tmp_path, monkeypatch)
     assert len(runner.configs) == 6
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch):
+    # the example writes its basis cache to ./cache
+    [code] = re.findall(r"Typical library use.*?```python\n(.*?)```",
+                        (ROOT / "README.md").read_text(), re.DOTALL)
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    assert namespace["report"].converged and namespace["report"].l2_closure <= 1e-9
 
 
 def test_named_tool_scripts_exist():

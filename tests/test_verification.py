@@ -16,6 +16,7 @@ from reproflow.cli import SCHEMA
 from reproflow.galerkin import (
     GalerkinState, SolverConfig, assemble_tensors, solve, vnorm,
 )
+from reproflow.lift import boundary_profile, build_lift, compute_forcing
 from reproflow.verification import (
     AUDIT_TOL,
     Gate,
@@ -61,9 +62,9 @@ def test_energy_inequality_on_decaying_vortices(basis48):
     cfg = SolverConfig(nu=0.1, T=0.1, dt=1e-3, m=32, nx=48)
     c0 = np.random.default_rng(0).standard_normal(32)
     c0 *= 0.2 / vnorm(c0, basis48.eigenvalues)
-    traj = solve(cfg, GalerkinState(0.0, c0), build_zero_lift(basis48.grid, nu=cfg.nu),
-                 basis48)
-    report = check_energy_inequality(traj, cfg.nu, poincare_constant(basis48))
+    lift = build_zero_lift(basis48.grid, nu=cfg.nu)
+    traj = solve(cfg, GalerkinState(0.0, c0), lift, basis48)
+    report = check_energy_inequality(traj, cfg.nu, poincare_constant(basis48), lift.beta)
     print(report.gate.line())
     assert report.passed
     # no forcing: d|u|^2/dt = -2 nu ||u||^2, so the lhs is close to
@@ -83,8 +84,8 @@ def test_energy_inequality_on_bump_run(bump_traj, basis32, lift32):
 
 def test_zero_data_violations_are_exactly_zero(config32, basis32, zero_lift32):
     traj = solve(config32, GalerkinState(0.0, np.zeros(8)), zero_lift32, basis32)
-    report = check_energy_inequality(traj, config32.nu,
-                                     poincare_constant(basis32))
+    report = check_energy_inequality(traj, config32.nu, poincare_constant(basis32),
+                                     zero_lift32.beta)
     assert report.gate.value == 0.0
     assert np.all(report.lhs == 0.0) and np.all(report.rhs == 0.0)
 
@@ -132,6 +133,21 @@ def test_calibrate_slack_nonnegative(config32, lift32, basis32, tensors32):
     assert 0.0 <= kappa < 1.0
     # pinned, so that a change to the energy formula shows here
     assert kappa == pytest.approx(6.30530855971756e-4, rel=1e-14, abs=0)
+
+
+def test_calibrate_slack_refuses_out_of_regime_data(square32, config32, basis32):
+    # at amplitude 2 beta is 0.319 > nu/4: the energy estimate is not
+    # claimed there, so no slack rate is calibrated for it
+    g = boundary_profile(square32, "bottom_bump", amplitude=2.0)
+    lift = build_lift(g, 0.4, square32)
+    compute_forcing(lift, config32.nu)
+    with pytest.raises(RegimeViolation) as refused:
+        calibrate_slack(config32, GalerkinState(0.0, np.zeros(8)), lift, basis32,
+                        assemble_tensors(basis32, lift, nu=config32.nu))
+    [gate] = refused.value.gates
+    print(gate.line())
+    assert gate.name == "lift-smallness" and gate.bound == 0.25 * config32.nu
+    assert gate.value == pytest.approx(3.189e-1, rel=1e-3)
 
 
 def test_kappa_default_is_the_calibrated_rate(basis48, lift48, tensors48):
