@@ -9,10 +9,11 @@ wall data; a config error exits 2 before the output directory exists.
 The effective config — defaults filled in — is written next to the
 results, so a run directory is self-describing.  Every run ends with an
 atomically written ``manifest.json`` listing the config hash, code
-version, basis cache key, wall-clock, every output file, every gate
-(value, bound, margin, verdict) and ``passed``, their conjunction (a
-refused run lists its failed regime gates), or a ``config_error`` the
-run itself found (the explicit dt bound).
+version, basis cache key and source, wall-clock, every output file,
+every gate (value, bound, margin, verdict) and ``passed``, their
+conjunction (a refused run lists its failed regime gates, a failed
+eigenbasis its failed basis gates), or a ``config_error`` the run itself
+found (the explicit dt bound).
 
 Exit codes: 0 every gate passed; 1 a gate failed or a monitor refused
 to judge (out of regime); 2 usage or config error; 3 numerical failure
@@ -66,8 +67,7 @@ from .reproductive import (
     validate_budget,
 )
 from .snapshots import save_scalar, save_vector
-from .stokes import (EIGEN_RESIDUAL_TOL, ORTHONORMALITY_TOL, EigensolverError, _cache_path,
-                     check_mode_count, compute_eigenbasis)
+from .stokes import EigensolverError, _cache_path, check_mode_count, compute_eigenbasis
 from .verification import (
     Gate,
     RegimeViolation,
@@ -288,14 +288,21 @@ class RunContext:
         self.cache_dir = os.environ.get(CACHE_ENV) or os.path.join(self.outdir, "cache")
         self.outputs = []
         self.grid = config.boundary.grid
+        self.provenance = {}  # where the basis came from, for the manifest
 
     def path(self, name):
         self.outputs.append(name)
         return os.path.join(self.outdir, name)
 
     def basis(self):
-        return compute_eigenbasis(self.grid, self.config.solver.m,
-                                  cache_dir=self.cache_dir)
+        basis = compute_eigenbasis(self.grid, self.config.solver.m,
+                                   cache_dir=self.cache_dir)
+        self.provenance = {"basis_source": basis.source}
+        if basis.source == "rebuilt":
+            self.provenance["basis_rejected_by"] = basis.rejected
+            print(f"stale basis cache {self.basis_cache_key()} failed "
+                  f"{', '.join(basis.rejected)}: rebuilt", file=sys.stderr)
+        return basis
 
     def basis_cache_key(self):
         return os.path.basename(_cache_path(self.cache_dir, self.grid,
@@ -342,13 +349,8 @@ def _run_eigs(ctx):
     basis = ctx.basis()
     write_csv(ctx.path("eigenvalues.csv"), ["j", "eigenvalue"],
               list(enumerate(basis.eigenvalues)))
-    gates = [Gate("orthonormality", basis.orthonormality_error(), ORTHONORMALITY_TOL),
-             Gate("eigen-residual", float(basis.eigen_residuals().max()), EIGEN_RESIDUAL_TOL)]
-    # each such pair is an even-odd mode, then its transpose
-    lam = basis.eigenvalues
-    degenerate = [[j, j + 1] for j in range(len(lam) - 1)
-                  if abs(lam[j + 1] - lam[j]) <= 1e-10 * abs(lam[j + 1])]
-    return gates, {"m": ctx.config.solver.m, "degenerate_pairs": degenerate}
+    return basis.gates(), {"m": ctx.config.solver.m,
+                           "degenerate_pairs": basis.degenerate_pairs()}
 
 
 def _run_lift(ctx):
@@ -525,9 +527,12 @@ def run(config):
         print(f"out of regime: {exc}", file=sys.stderr)
         code = 1
     except (BlowupDetected, SolverFailure, EigensolverError, NonConvergence) as exc:
+        if isinstance(exc, EigensolverError):
+            manifest["gates"] = [_gate_record(g) for g in exc.gates]
         manifest["numerical_failure"] = f"{type(exc).__name__}: {exc}"
         print(f"numerical failure: {exc}", file=sys.stderr)
         code = 3
+    manifest.update(ctx.provenance)
     manifest["wall_clock_s"] = round(time.monotonic() - started, 3)
     manifest["outputs"] = ctx.outputs + ["manifest.json"]
     _atomic_json(os.path.join(ctx.outdir, "manifest.json"), manifest)

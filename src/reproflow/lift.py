@@ -32,6 +32,8 @@ WALLS = ("bottom", "right", "top", "left")
 CORNER_MARGIN_CELLS = 4
 #: gate of the lift run on max |div G|, which the construction makes rounding
 DIVERGENCE_TOL = 1e-13
+#: bound on the stream-function solve's residual, relative to max(|(4/h) bc|, 1)
+STREAM_RESIDUAL_TOL = 1e-10
 
 
 class InvalidBoundaryData(ValueError):
@@ -229,8 +231,8 @@ def _check_clamped(omega, psi, bc, h):
     r_psi = _ghost_laplacian(omega, h)[1:-1, 1:-1]
     scale = max((4.0 / h) * np.abs(bc).max(), 1.0)
     resid = max(np.abs(r_omega).max(), np.abs(r_psi).max()) / scale
-    if not np.isfinite(resid) or resid > 1e-10:
-        raise SolverFailure(f"stream-function solve residual {resid:.3e} > 1e-10")
+    if not np.isfinite(resid) or resid > STREAM_RESIDUAL_TOL:
+        raise SolverFailure(f"stream-function solve residual {resid:.3e} > {STREAM_RESIDUAL_TOL:g}")
 
 
 def _wall_slopes(g, grid):
@@ -249,7 +251,7 @@ def build_stream_function(g, grid):
     through eliminated ghost nodes in the wall rows.  The solve is a
     sine transform and one Woodbury solve per mirror-parity sector,
     O(n^3) in numpy alone (`_solve_clamped`), and the residual of both
-    equations is checked with stencils against 1e-10.
+    equations is checked with stencils against STREAM_RESIDUAL_TOL.
     """
     bc = _wall_slopes(g, grid)
     omega, psi = _solve_clamped(bc, grid.h)

@@ -47,6 +47,7 @@ projector idempotence and div(Pu) = 0 hold to rounding.
 
 import functools
 import os
+import zipfile
 
 import numpy as np
 
@@ -56,19 +57,26 @@ from .fields import (
     dirichlet_sine,
     divergence,
     gradient,
-    inner_h1,
     inner_l2,
     laplacian,
     rot,
 )
+from .gates import Gate
 
 CACHE_VERSION = 4
 ORTHONORMALITY_TOL = 1e-10
 EIGEN_RESIDUAL_TOL = 1e-8
+RAYLEIGH_TOL = 1e-10  # |(A w_j, w_j) - lambda_j| / lambda_j
+LANCZOS_TOL = 1e-13  # Ritz residual relative to the largest Ritz value
+DEGENERATE_RTOL = 1e-10  # relative gap below which two eigenvalues are one pair
 
 
 class EigensolverError(Exception):
-    """Eigensolver failed to converge; carries residual diagnostics."""
+    """A basis that failed its gates, or a stalled Lanczos; carries the failed gates."""
+
+    def __init__(self, *gates):
+        super().__init__("; ".join(g.line() for g in gates))
+        self.gates = gates
 
 
 class LerayProjector:
@@ -122,7 +130,13 @@ def apply_stokes(w, projector=None):
 
 
 class StokesBasis:
-    """First m eigenpairs (w_j, lambda_j), L2-orthonormal, ascending."""
+    """First m eigenpairs (w_j, lambda_j), L2-orthonormal, ascending.
+
+    `source` says where `compute_eigenbasis` got it: "built", "cache", or
+    "rebuilt" after refusing the cached file for the reasons in `rejected`.
+    """
+
+    source, rejected = "built", ()
 
     def __init__(self, grid, eigenvalues, ustack, vstack):
         self.grid = grid
@@ -170,16 +184,37 @@ class StokesBasis:
     def orthonormality_error(self):
         return float(np.abs(self.gram() - np.eye(self.m)).max())
 
-    def eigen_residuals(self):
-        """||A w_j - lambda_j w_j|| / lambda_j for every mode."""
+    @functools.cached_property
+    def _stokes_pass(self):
+        """(A w_j, w_j) and the eigen-residual of every mode, from one apply_stokes each."""
         projector = LerayProjector(self.grid)
-        out = np.empty(self.m)
+        out = np.empty((2, self.m))
         for j in range(self.m):
             w = self.mode(j)
             aw = apply_stokes(w, projector)
             r = aw - self.eigenvalues[j] * w
-            out[j] = np.sqrt(max(inner_l2(r, r), 0.0)) / self.eigenvalues[j]
+            out[:, j] = inner_l2(aw, w), np.sqrt(max(inner_l2(r, r), 0.0)) / self.eigenvalues[j]
         return out
+
+    def eigen_residuals(self):
+        """||A w_j - lambda_j w_j|| / lambda_j for every mode."""
+        return self._stokes_pass[1].copy()
+
+    def gates(self):
+        """The one rule for a usable basis; compute_eigenbasis says how it is applied."""
+        lam, (rayleigh, resid) = self.eigenvalues, self._stokes_pass
+        return [Gate("ascending", float(np.max(lam[:-1] - lam[1:], initial=0.0)), 0.0),
+                Gate("orthonormality", self.orthonormality_error(), ORTHONORMALITY_TOL),
+                Gate("eigen-residual", float(resid.max()), EIGEN_RESIDUAL_TOL),
+                Gate("rayleigh", float(np.max(np.abs(rayleigh - lam) / lam)), RAYLEIGH_TOL),
+                Gate("mirror-parity", int((self.parities == 0).any(axis=1).sum()), 0)]
+
+    def degenerate_pairs(self):
+        """[j, j + 1] of each eigenvalue pair within DEGENERATE_RTOL; in the
+        square's basis an even-odd mode, then its transpose."""
+        lam = self.eigenvalues
+        return [[j, j + 1] for j in range(self.m - 1)
+                if abs(lam[j + 1] - lam[j]) <= DEGENERATE_RTOL * abs(lam[j + 1])]
 
 
 def _fix_signs(ustack, vstack):
@@ -277,10 +312,11 @@ def _lanczos(apply, shape, k):
             theta, s = theta[::-1][:k], s[:, ::-1][:, :k]
             r = hmat[:n + 1, :n] @ s
             r[:n] -= theta * s
-            resid = np.linalg.norm(r, axis=0).max() / abs(theta[0])
-            if resid <= 1e-13:
+            gate = Gate("lanczos-residual", np.linalg.norm(r, axis=0).max() / abs(theta[0]),
+                        LANCZOS_TOL)
+            if gate.passed:
                 return theta, np.einsum("nj,nd->jd", s, q[:n])
-    raise EigensolverError(f"Lanczos stalled after {size} steps: residual {resid:.1e}")
+    raise EigensolverError(gate)
 
 
 def _square_eigenbasis(grid, m):
@@ -365,18 +401,18 @@ def _cache_path(cache_dir, grid, m):
     return os.path.join(cache_dir, name)
 
 
-def _is_basis_of(basis, m):
-    """Whether a loaded basis holds m ascending modes of its grid, each
-    with lambda_j = ((w_j, w_j)), one mirror parity per axis, and an
-    orthonormal span."""
-    grid, lam = basis.grid, basis.eigenvalues
-    if (lam.shape != (m,) or basis.ustack.shape != (m,) + grid.shape_u()
-            or basis.vstack.shape != (m,) + grid.shape_v()
-            or np.any(np.diff(lam) < 0)):
-        return False
-    h1 = np.array([inner_h1(basis.mode(j), basis.mode(j)) for j in range(m)])
-    return bool(np.all(np.abs(h1 - lam) <= 1e-10 * np.abs(lam))
-                and basis.parities.all() and basis.orthonormality_error() <= ORTHONORMALITY_TOL)
+def _read_cache(path, grid, m):
+    """(basis, names of its failed gates), or (None, ["unreadable"] or ["shapes"])
+    when the file holds no basis of the key's shapes."""
+    try:
+        with np.load(path, allow_pickle=False) as d:
+            arrays = [np.asarray(d[k], dtype=float) for k in ("eigenvalues", "ustack", "vstack")]
+    except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile):
+        return None, ["unreadable"]
+    if [a.shape for a in arrays] != [(m,), (m,) + grid.shape_u(), (m,) + grid.shape_v()]:
+        return None, ["shapes"]
+    basis = StokesBasis(grid, *arrays)
+    return basis, [g.name for g in basis.gates() if not g.passed]
 
 
 def compute_eigenbasis(grid, m, cache_dir=None):
@@ -387,32 +423,31 @@ def compute_eigenbasis(grid, m, cache_dir=None):
     sector whose largest computed eigenvalue is at or below the merged
     m-th, with pairs left, is solved again for twice as many.  The merge
     is a stable ascending sort in the order ee, oo, eo, oe.  Sign rule:
-    first non-negligible sample positive.  With cache_dir set, results
-    are stored keyed by (kind, nx, m); the loader re-verifies the shapes,
-    the ascending order, lambda_j = ((w_j, w_j)) to 1e-10 relative,
-    orthonormality and one mirror parity per mode and axis, and silently
-    rebuilds a file that fails.
+    first non-negligible sample positive.  A build that fails one of
+    `StokesBasis.gates` raises EigensolverError with the failed gates.  With
+    cache_dir set, results are stored keyed by (kind, nx, m); a readable
+    file of the key's shapes that passes every gate is reused, and any
+    other is rebuilt (`source` "rebuilt", the reasons in `rejected`).
     """
     if m < 1:
         raise ValueError("need at least one mode")
     check_mode_count(grid.nx, m)
     path = _cache_path(cache_dir, grid, m) if cache_dir else None
+    rejected = ()
     if path and os.path.exists(path):
-        try:
-            with np.load(path, allow_pickle=False) as d:
-                basis = StokesBasis(grid, d["eigenvalues"], d["ustack"], d["vstack"])
-            if _is_basis_of(basis, m):
-                return basis
-        except Exception:
-            pass  # fall through to rebuild
+        cached, rejected = _read_cache(path, grid, m)
+        if not rejected:
+            cached.source = "cache"
+            return cached
 
     vals, ustack, vstack = _square_eigenbasis(grid, m)
     ustack, vstack = _fix_signs(ustack, vstack)
     basis = StokesBasis(grid, vals, ustack, vstack)
-
-    err = basis.orthonormality_error()
-    if err > ORTHONORMALITY_TOL:
-        raise EigensolverError(f"orthonormality off by {err:.3e} after build")
+    failed = [g for g in basis.gates() if not g.passed]
+    if failed:
+        raise EigensolverError(*failed)
+    if rejected:
+        basis.source, basis.rejected = "rebuilt", rejected
     if path:
         os.makedirs(cache_dir, exist_ok=True)
         tmp = path + ".tmp.npz"

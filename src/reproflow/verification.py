@@ -27,50 +27,13 @@ import numpy as np
 
 from .fields import inner_l2, trilinear
 from .galerkin import GalerkinState, quadratic_term, solve, vnorm
+from .gates import Gate, RegimeViolation, require
 from .stokes import apply_stokes
 
 ENERGY_TOL = 1e-8
 AUDIT_TOL = 1e-12
 STABILITY_TOL = 0.05  # share by which ||z|| may outgrow its exp(-nu t) envelope
 MONOTONE_ROUNDING = 1e-15  # rounding allowed on a step's growth of ||z||, relative to max(||z(0)||, 1)
-
-
-@dataclasses.dataclass(frozen=True)
-class Gate:
-    """One pass/fail decision `value sense bound` (sense "<=" or "<"); NaN or inf fails."""
-
-    name: str
-    value: float
-    bound: float
-    sense: str = "<="
-
-    @property
-    def passed(self):
-        held = self.value < self.bound if self.sense == "<" else self.value <= self.bound
-        return bool(np.isfinite(self.value) and held)
-
-    @property
-    def margin(self):
-        return self.bound - self.value
-
-    def line(self):
-        return (f"{'pass' if self.passed else 'FAIL'}  {self.name}: {self.value:+.3e} "
-                f"{self.sense} {self.bound:.3e} (margin {self.margin:+.3e})")
-
-
-class RegimeViolation(RuntimeError):
-    """The smallness gates this run failed; the run is out of regime, not judged."""
-
-    def __init__(self, *gates):
-        super().__init__("; ".join(g.line() for g in gates))
-        self.gates = gates
-
-
-def require(*gates):
-    """Raise RegimeViolation with the gates that failed, if any did."""
-    failed = [g for g in gates if not g.passed]
-    if failed:
-        raise RegimeViolation(*failed)
 
 
 @dataclasses.dataclass

@@ -6,12 +6,13 @@ are built once per session.  The basis cache goes to a pytest temp
 directory so test runs never touch the working tree.
 """
 
+import numpy as np
 import pytest
 
-from reproflow.fields import Grid
+from reproflow.fields import Grid, inner_l2
 from reproflow.galerkin import SolverConfig, assemble_tensors
 from reproflow.lift import BoundaryData, boundary_profile, build_lift, compute_forcing
-from reproflow.stokes import compute_eigenbasis
+from reproflow.stokes import StokesBasis, apply_stokes, compute_eigenbasis
 
 # The standard wall-bump fixture: unit viscosity, one smooth bump of
 # peak speed 1e-2 sliding along the bottom wall, lift band eps = 0.4.
@@ -26,6 +27,27 @@ def build_zero_lift(grid, nu=1.0):
     lift = build_lift(BoundaryData(grid, {}), BUMP_EPS, grid)
     compute_forcing(lift, nu)
     return lift
+
+
+def rotate_cached_modes(path, grid, j, k, angle):
+    """Rewrite a cached basis file with modes j and k rotated by `angle` in
+    their span and each lambda set to its mode's Rayleigh quotient (A w, w).
+
+    For two modes of one mirror parity and distinct eigenvalues the file
+    stays orthonormal, ascending and of one parity per mode, and holds no
+    eigenpairs: only the eigen-residual can tell.
+    """
+    with np.load(path, allow_pickle=False) as d:
+        payload = dict(d)
+    c, s = np.cos(angle), np.sin(angle)
+    for key in ("ustack", "vstack"):
+        wj, wk = payload[key][j].copy(), payload[key][k].copy()
+        payload[key][j], payload[key][k] = c * wj - s * wk, s * wj + c * wk
+    rotated = StokesBasis(grid, payload["eigenvalues"], payload["ustack"], payload["vstack"])
+    for i in (j, k):
+        w = rotated.mode(i)
+        payload["eigenvalues"][i] = inner_l2(apply_stokes(w), w)
+    np.savez(path, **payload)
 
 
 @pytest.fixture(scope="session")

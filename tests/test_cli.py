@@ -12,15 +12,17 @@ import numpy as np
 import pytest
 import yaml
 
-from reproflow import __version__, cli
+from reproflow import __version__, cli, stokes
 from reproflow.cli import main, parse_config, ConfigFileError
 from reproflow.fields import Grid
 from reproflow.galerkin import BlowupDetected
 from reproflow.lift import SolverFailure, boundary_profile, build_lift
 from reproflow.reproductive import NonConvergence
 from reproflow.snapshots import load
-from reproflow.stokes import EigensolverError, compute_eigenbasis
+from reproflow.stokes import LANCZOS_TOL, EigensolverError, _cache_path, compute_eigenbasis
 from reproflow.verification import Gate
+
+from .conftest import rotate_cached_modes
 
 # a tent of wall speed on the bottom wall, clear of the corners
 TENT = "# s value\n0.0 0\n0.3 0.0\n0.5 {peak}\n0.7 0.0\n3.9 0\n"
@@ -258,7 +260,8 @@ def test_relative_table_is_read_beside_the_config(tmp_path, capsys, monkeypatch)
 
 
 @pytest.mark.parametrize("failure", [
-    BlowupDetected(7, 2e6), SolverFailure("residual 1e-3"), EigensolverError("stalled"),
+    BlowupDetected(7, 2e6), SolverFailure("residual 1e-3"),
+    EigensolverError(Gate("lanczos-residual", 1e-3, LANCZOS_TOL)),
     NonConvergence("tol not reached", [1e-2, 1e-3])], ids=lambda exc: type(exc).__name__)
 def test_numerical_failure_exits_3(tmp_path, capsys, monkeypatch, failure):
     def fail(*args, **kwargs):
@@ -271,6 +274,53 @@ def test_numerical_failure_exits_3(tmp_path, capsys, monkeypatch, failure):
     man = read_manifest(out)
     assert man["passed"] is False
     assert man["numerical_failure"].startswith(f"{type(failure).__name__}: ")
+    # an eigensolver failure lists its failed gates, as a refusal does
+    assert [g["name"] for g in man.get("gates", [])] == [
+        g.name for g in getattr(failure, "gates", ())]
+
+
+def test_a_fresh_basis_failing_its_gates_exits_3(tmp_path, capsys, monkeypatch):
+    # modes x3 stay eigenvectors of A, so only the unit-norm gates can see them
+    build = stokes._square_eigenbasis
+
+    def tripled(grid, m):
+        vals, ustack, vstack = build(grid, m)
+        return vals, 3.0 * ustack, 3.0 * vstack
+
+    monkeypatch.setattr(stokes, "_square_eigenbasis", tripled)
+    out = str(tmp_path / "out")
+    path = write_config(tmp_path, experiment="eigs", out=out, boundary={},
+                        solver={"nx": 16, "m": 4})
+    assert main(["eigs", "--config", path]) == 3
+    err = capsys.readouterr().err
+    man = read_manifest(out)
+    assert man["passed"] is False and "basis_source" not in man
+    assert [g["name"] for g in man["gates"]] == ["orthonormality", "rayleigh"]
+    for g in man["gates"]:
+        assert g["passed"] is False and g["margin"] == g["bound"] - g["value"] < 0
+        line = Gate(g["name"], g["value"], g["bound"], g["sense"]).line()
+        assert line in man["numerical_failure"] and line in err
+
+
+def test_stale_cache_is_rebuilt_and_flagged(tmp_path, capsys, monkeypatch):
+    cache = str(tmp_path / "cache")
+    monkeypatch.setenv("REPROFLOW_CACHE", cache)
+    grid = Grid("square", 16)
+    compute_eigenbasis(grid, 8, cache_dir=cache)
+    rotate_cached_modes(_cache_path(cache, grid, 8), grid, 0, 4, 0.05)
+    for run in ("rebuilt", "cache"):
+        out = str(tmp_path / run)
+        path = write_config(tmp_path, out=out, solver={"nx": 16, "m": 8})
+        assert main(["solve", "--config", path]) == 0
+        stale = [line for line in capsys.readouterr().err.splitlines() if "stale" in line]
+        man = read_manifest(out)
+        assert man["basis_source"] == run
+        if run == "rebuilt":
+            assert "eigen-residual" in man["basis_rejected_by"]
+            assert stale == [f"stale basis cache {man['basis_cache_key']} failed "
+                             f"eigen-residual: rebuilt"]
+        else:
+            assert "basis_rejected_by" not in man and stale == []
 
 
 def test_subcommand_must_match_experiment(tmp_path, capsys):
@@ -379,7 +429,7 @@ def test_eigs_run_artifacts(tmp_path, capsys):
     capsys.readouterr()
     assert rc == 0
     man = read_manifest(out)
-    assert man["passed"] is True
+    assert man["passed"] is True and man["basis_source"] == "built"
     assert gates_of(man)["orthonormality"]["value"] <= 1e-10
     assert set(man["outputs"]) == {"effective_config.json", "eigenvalues.csv",
                                    "manifest.json"}
@@ -635,7 +685,7 @@ def test_rerun_is_byte_identical(tmp_path, capsys):
 
 # every experiment's gates, in order; dropping or renaming one shows here
 GATES = {
-    "eigs": ["orthonormality", "eigen-residual"],
+    "eigs": ["ascending", "orthonormality", "eigen-residual", "rayleigh", "mirror-parity"],
     "lift": ["beta-decreasing", "smallness-non-increasing", "divergence"],
     "solve": [],
     "verify": ["energy", "h1-ball", "tensor-audit"],

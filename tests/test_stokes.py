@@ -5,6 +5,7 @@ discrete operator; their convergence to the clamped-plate value of
 lambda_1 over nx = 24, 48, 96 is acceptance criterion 1.
 """
 
+import io
 import os
 import subprocess
 import sys
@@ -21,6 +22,8 @@ from reproflow.fields import (
 from reproflow.stokes import (
     EigensolverError, LerayProjector, _cache_path, _mirror_parities, compute_eigenbasis,
 )
+
+from .conftest import rotate_cached_modes
 
 # dense-oracle values; the sector and dense eigensolves agree to ~1e-9
 # at these sizes
@@ -122,6 +125,7 @@ def test_cache_round_trip_and_corruption(tmp_path):
 
     b = compute_eigenbasis(grid, 3, cache_dir=cache)
     assert np.array_equal(a.ustack, b.ustack)
+    assert (a.source, b.source) == ("built", "cache")
 
     # plant files that are not this key's basis: the loader must rebuild each
     with np.load(path, allow_pickle=False) as d:
@@ -129,19 +133,61 @@ def test_cache_round_trip_and_corruption(tmp_path):
     for name, plant in PLANTED.items():
         np.savez(path, **plant(payload))
         c = compute_eigenbasis(grid, 3, cache_dir=cache)
+        assert c.source == "rebuilt" and c.rejected, name
         assert c.orthonormality_error() <= 1e-10, name
         assert np.array_equal(c.eigenvalues, a.eigenvalues), name
         assert np.array_equal(c.ustack, a.ustack), name
         assert np.array_equal(c.vstack, a.vstack), name
 
-    # a file numpy cannot read at all is rebuilt, and the rebuild replaces it
-    with open(path, "wb") as fh:
-        fh.write(b"not an npz archive")
-    c = compute_eigenbasis(grid, 3, cache_dir=cache)
-    assert np.array_equal(c.eigenvalues, a.eigenvalues)
-    assert np.array_equal(c.ustack, a.ustack) and np.array_equal(c.vstack, a.vstack)
-    with np.load(path, allow_pickle=False) as d:
-        assert np.array_equal(d["ustack"], a.ustack)
+    # files numpy cannot read as the three arrays are rebuilt, and the
+    # rebuild replaces them
+    with open(path, "rb") as fh:
+        archive = fh.read()
+    no_eigenvalues = io.BytesIO()
+    np.savez(no_eigenvalues, ustack=a.ustack, vstack=a.vstack)
+    unreadable = {"not_an_archive": b"not an npz archive", "empty": b"",
+                  "truncated": archive[:len(archive) // 2],
+                  "no_eigenvalues": no_eigenvalues.getvalue()}
+    for name, blob in unreadable.items():
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        c = compute_eigenbasis(grid, 3, cache_dir=cache)
+        assert c.rejected == ["unreadable"], name
+        assert np.array_equal(c.eigenvalues, a.eigenvalues), name
+        assert np.array_equal(c.ustack, a.ustack) and np.array_equal(c.vstack, a.vstack), name
+        with np.load(path, allow_pickle=False) as d:
+            assert np.array_equal(d["ustack"], a.ustack), name
+
+
+def test_a_fault_in_the_cache_gates_is_not_a_rebuild(tmp_path, monkeypatch):
+    # only an unreadable file is rebuilt; an error while judging a readable
+    # one is a fault of the code, and propagates
+    grid, cache = Grid("square", 12), str(tmp_path)
+    compute_eigenbasis(grid, 3, cache_dir=cache)
+
+    def broken(self):
+        raise TypeError("planted")
+
+    monkeypatch.setattr(stokes.StokesBasis, "gates", broken)
+    with pytest.raises(TypeError, match="planted"):
+        compute_eigenbasis(grid, 3, cache_dir=cache)
+
+
+def test_cache_rejects_rotated_modes(tmp_path):
+    # modes 0 and 4 at 16/8 are both even-even: rotated by 0.05 rad with
+    # their Rayleigh quotients as eigenvalues they pass every other gate
+    grid, cache = Grid("square", 16), str(tmp_path)
+    a = compute_eigenbasis(grid, 8, cache_dir=cache)
+    path = _cache_path(cache, grid, 8)
+    rotate_cached_modes(path, grid, 0, 4, 0.05)
+    rotated, failed = stokes._read_cache(path, grid, 8)
+    assert failed == ["eigen-residual"]
+    assert max(rotated.eigen_residuals()) == pytest.approx(9.1e-2, rel=0.01)
+
+    b = compute_eigenbasis(grid, 8, cache_dir=cache)
+    assert (b.source, b.rejected) == ("rebuilt", ["eigen-residual"])
+    assert np.array_equal(b.eigenvalues, a.eigenvalues)
+    assert np.array_equal(b.ustack, a.ustack) and np.array_equal(b.vstack, a.vstack)
 
 
 def test_gram_is_identity(basis32):
@@ -270,9 +316,7 @@ def test_sector_widening_finds_every_eigenvalue(nx, monkeypatch):
 
 
 def test_degenerate_pairs_are_transposed_even_odd_modes(basis48):
-    lam = basis48.eigenvalues
-    pairs = [j for j in range(len(lam) - 1)
-             if abs(lam[j + 1] - lam[j]) <= 1e-10 * abs(lam[j + 1])]
+    pairs = [j for j, _ in basis48.degenerate_pairs()]
     assert len(pairs) == 8
     parity = _mirror_parities(basis48.ustack, basis48.vstack)
     u, v = basis48.ustack, basis48.vstack
@@ -302,7 +346,7 @@ def test_basis_independent_of_start_vector(basis48, monkeypatch):
 def test_lanczos_rejects_non_symmetric_operator():
     # a cyclic shift is not symmetric, so the Ritz pairs of the symmetric
     # eigh of its projection leave a residual of order one
-    with pytest.raises(EigensolverError, match="stalled"):
+    with pytest.raises(EigensolverError, match="FAIL  lanczos-residual"):
         stokes._lanczos(lambda y: np.roll(y, 1, axis=-1), (6, 6), 3)
 
 
